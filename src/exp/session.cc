@@ -154,8 +154,11 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
     // Large and multi-source worlds: stream one Dijkstra row per member
     // straight into the compressed member-indexed model(s) — no routing
     // table over physical nodes is ever materialized, which is what
-    // keeps 10k-repository worlds memory-bounded. Rows are independent,
-    // so the build fans out over the session's worker budget.
+    // keeps 10k-repository worlds memory-bounded. The rows run over the
+    // routed core only: member-free dead-end routers, which no member-
+    // to-member shortest path enters, are peeled off first (exact; see
+    // FromTopologyAllSources). Rows are independent, so the build fans
+    // out over the session's worker budget.
     const size_t build_threads = worker_threads_ == 0
                                      ? ThreadPool::DefaultThreadCount()
                                      : worker_threads_;

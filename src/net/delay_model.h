@@ -51,10 +51,25 @@ class OverlayDelayModel {
   /// a time (Dijkstra through two scratch buffers) straight into the
   /// compressed member x member model(s) — one per source node, in
   /// SourceNodes() order — without ever materializing a physical-node
-  /// routing table. Numerically identical to DijkstraRows +
-  /// FromRoutingWithSource. Rows are independent, so `worker_threads`
-  /// > 1 fans them out over a pool; results do not depend on the thread
-  /// count. Fails if the topology is disconnected or has no source.
+  /// routing table. Rows are independent, so `worker_threads` > 1 fans
+  /// them out over a pool; results do not depend on the thread count.
+  /// Fails if the topology is disconnected or has no source.
+  ///
+  /// Rows run over the *routed core* only: non-member nodes (neither
+  /// source nor repository) with at most one remaining adjacency entry
+  /// are peeled off repeatedly, and the survivors are renumbered in
+  /// increasing NodeId order. On generated networks (a random tree plus
+  /// 5% shortcut links) that removes over half the nodes. The result is
+  /// still identical — Delay, Hops and PhysicalNode — to DijkstraRows +
+  /// FromRoutingWithSource on the whole topology, because:
+  ///  - A peeled subtree hangs off one attachment node. Any relaxation
+  ///    out of it returns through that node with added cost >= 0, so it
+  ///    is never a *strict* improvement, and delay/hops change only on a
+  ///    strict improvement.
+  ///  - Among equal delays the heap pops nodes in NodeId order, and that
+  ///    pop order decides Hops when two paths tie on delay. A monotone
+  ///    relabel keeps the order; any other relabel (BFS order, say)
+  ///    would not.
   static Result<std::vector<OverlayDelayModel>> FromTopologyAllSources(
       const Topology& topo, size_t worker_threads = 1);
 

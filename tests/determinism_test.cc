@@ -5,12 +5,14 @@
 // refactor must reproduce them exactly.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "core/pull.h"
 #include "exp/experiment.h"
 #include "exp/multi_source.h"
 #include "exp/scenario.h"
+#include "exp/session.h"
 #include "net/transport.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -550,6 +552,69 @@ TEST(DeterminismTest, GoldenMetricsOnFixedScenario) {
   EXPECT_EQ(m.tracked_pairs, kGoldenTrackedPairs);
   EXPECT_NEAR(m.loss_percent, kGoldenLossPercent, 1e-12);
   EXPECT_NEAR(m.pair_loss_percent, kGoldenPairLossPercent, 1e-12);
+}
+
+// Streamed (Dijkstra-row) routing pin, captured before the routed-core
+// pruning of OverlayDelayModel::FromTopologyAllSources: a 300-repository
+// World on 1 800 routers, routed with use_floyd_warshall = false. The
+// golden metrics above route with Floyd-Warshall, so without this pin no
+// golden value covers the streamed builder at this scale.
+// 11.313488372093111 and 35.67783218161647.
+constexpr uint64_t kStreamedMeanPairHopsBits = 0x4026a0818c43a1e4ull;
+constexpr uint64_t kStreamedMeanPairDelayMsBits = 0x4041d6c334761c0bull;
+constexpr uint64_t kStreamedPairDigest = 0xad9b61781a35a2a3ull;
+
+uint64_t DoubleBits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// FNV-1a 64 over Delay (int64 microseconds) then Hops (uint32) of every
+// ordered member pair, row-major.
+uint64_t PairDigest(const net::OverlayDelayModel& delays) {
+  uint64_t hash = 1469598103934665603ull;
+  auto mix = [&hash](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 1099511628211ull;
+    }
+  };
+  for (net::OverlayIndex i = 0; i < delays.member_count(); ++i) {
+    for (net::OverlayIndex j = 0; j < delays.member_count(); ++j) {
+      const int64_t delay = delays.Delay(i, j);
+      const uint32_t hops = delays.Hops(i, j);
+      mix(&delay, sizeof(delay));
+      mix(&hops, sizeof(hops));
+    }
+  }
+  return hash;
+}
+
+TEST(DeterminismTest, GoldenStreamedRoutingOnLargeWorld) {
+  NetworkConfig network;
+  network.repositories = 300;
+  network.routers = 1800;
+  network.use_floyd_warshall = false;
+  WorkloadConfig workload;
+  workload.items = 4;
+  workload.ticks = 100;
+  Result<SimulationSession> session = SessionBuilder()
+                                          .SetNetwork(network)
+                                          .SetWorkload(workload)
+                                          .SetSeed(20021)
+                                          .SetWorkerThreads(4)
+                                          .Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<ExperimentResult> result = session->Run(RunSpec{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(DoubleBits(result->mean_pair_hops), kStreamedMeanPairHopsBits)
+      << result->mean_pair_hops;
+  EXPECT_EQ(DoubleBits(result->mean_pair_delay_ms),
+            kStreamedMeanPairDelayMsBits)
+      << result->mean_pair_delay_ms;
+  EXPECT_EQ(PairDigest(session->world().delays()), kStreamedPairDigest);
 }
 
 }  // namespace

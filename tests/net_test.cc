@@ -322,62 +322,159 @@ TEST(DelayModelTest, ScalingFromZeroFallsBackToUniform) {
   EXPECT_EQ(scaled.Delay(2, 1), sim::Millis(5));
 }
 
-TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
-  // FromTopologyAllSources streams one Dijkstra row per member straight
-  // into the compressed models; it must match the two-step DijkstraRows
-  // + FromRoutingWithSource path pair for pair, and be independent of
-  // the worker thread count.
-  Rng rng(11);
-  TopologyGeneratorOptions options;
-  options.router_count = 40;
-  options.repository_count = 9;
-  options.source_count = 3;
-  Result<Topology> topo = GenerateTopology(options, rng);
-  ASSERT_TRUE(topo.ok());
+// FromTopologyAllSources routes only the member core (dead-end routers
+// peeled, survivors relabelled in id order); it must match the two-step
+// DijkstraRows + FromRoutingWithSource path on the *unpruned* topology
+// pair for pair, and be independent of the worker thread count.
+void ExpectStreamedMatchesReference(const Topology& topo) {
+  std::vector<NodeId> rows = topo.SourceNodes();
+  for (NodeId repo : topo.RepositoryNodes()) rows.push_back(repo);
+  Result<RoutingTables> routing = RoutingTables::DijkstraRows(topo, rows);
+  ASSERT_TRUE(routing.ok()) << routing.status().ToString();
 
-  std::vector<NodeId> rows = topo->SourceNodes();
-  for (NodeId repo : topo->RepositoryNodes()) rows.push_back(repo);
-  Result<RoutingTables> routing = RoutingTables::DijkstraRows(*topo, rows);
-  ASSERT_TRUE(routing.ok());
-
-  Result<std::vector<OverlayDelayModel>> serial =
-      OverlayDelayModel::FromTopologyAllSources(*topo, 1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Result<std::vector<OverlayDelayModel>> pooled =
-      OverlayDelayModel::FromTopologyAllSources(*topo, 4);
-  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-  ASSERT_EQ(serial->size(), topo->SourceNodes().size());
-  ASSERT_EQ(pooled->size(), serial->size());
-
-  for (size_t s = 0; s < serial->size(); ++s) {
-    SCOPED_TRACE("source " + std::to_string(s));
-    Result<OverlayDelayModel> reference =
-        OverlayDelayModel::FromRoutingWithSource(*topo, *routing,
-                                                 topo->SourceNodes()[s]);
-    ASSERT_TRUE(reference.ok());
-    const OverlayDelayModel& streamed = (*serial)[s];
-    const OverlayDelayModel& threaded = (*pooled)[s];
-    ASSERT_EQ(streamed.member_count(), reference->member_count());
-    for (OverlayIndex i = 0; i < reference->member_count(); ++i) {
-      EXPECT_EQ(streamed.PhysicalNode(i), reference->PhysicalNode(i));
-      for (OverlayIndex j = 0; j < reference->member_count(); ++j) {
-        EXPECT_EQ(streamed.Delay(i, j), reference->Delay(i, j));
-        EXPECT_EQ(streamed.Hops(i, j), reference->Hops(i, j));
-        EXPECT_EQ(threaded.Delay(i, j), reference->Delay(i, j));
-        EXPECT_EQ(threaded.Hops(i, j), reference->Hops(i, j));
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Result<std::vector<OverlayDelayModel>> streamed =
+        OverlayDelayModel::FromTopologyAllSources(topo, threads);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ASSERT_EQ(streamed->size(), topo.SourceNodes().size());
+    for (size_t s = 0; s < streamed->size(); ++s) {
+      SCOPED_TRACE("source " + std::to_string(s));
+      Result<OverlayDelayModel> reference =
+          OverlayDelayModel::FromRoutingWithSource(topo, *routing,
+                                                   topo.SourceNodes()[s]);
+      ASSERT_TRUE(reference.ok());
+      const OverlayDelayModel& model = (*streamed)[s];
+      ASSERT_EQ(model.member_count(), reference->member_count());
+      for (OverlayIndex i = 0; i < reference->member_count(); ++i) {
+        ASSERT_EQ(model.PhysicalNode(i), reference->PhysicalNode(i));
+        for (OverlayIndex j = 0; j < reference->member_count(); ++j) {
+          // ASSERT: one mismatch is enough; a broken builder would
+          // otherwise report every one of ~90k pairs.
+          ASSERT_EQ(model.Delay(i, j), reference->Delay(i, j))
+              << "pair " << i << "," << j;
+          ASSERT_EQ(model.Hops(i, j), reference->Hops(i, j))
+              << "pair " << i << "," << j;
+        }
       }
     }
   }
 }
 
+/// Two sources and three repositories on a core of routers, with every
+/// shape the routed-core pruning must handle exactly: dead-end router
+/// chains off a router (2-11-0-12), off a repository (4-13-14, the
+/// first link zero-delay) and off a source (6-17); a repository at the
+/// tip of a router chain (6-7-8-9, 7-8 zero-delay, with a dead end
+/// 8-16); parallel links into a repository leaf (5=10) and a router
+/// leaf (3=15); and two equal-delay source-to-repository paths with
+/// different hop counts (1-2-4 and 1-3-5-4, both 4 ms), so Hops depends
+/// on the heap's node-id tie order. Peeled ids (0, 11-14, 16, 17) are
+/// interleaved with surviving ones so the relabel is not the identity.
+Topology DeadEndTopology() {
+  Topology topo(18);
+  topo.set_kind(1, NodeKind::kSource);
+  topo.set_kind(6, NodeKind::kSource);
+  topo.set_kind(4, NodeKind::kRepository);
+  topo.set_kind(9, NodeKind::kRepository);
+  topo.set_kind(10, NodeKind::kRepository);
+  const struct {
+    NodeId a, b;
+    sim::SimTime delay;
+  } links[] = {
+      {1, 2, sim::Millis(2)},  {2, 4, sim::Millis(2)},
+      {1, 3, sim::Millis(1)},  {3, 5, sim::Millis(1)},
+      {5, 4, sim::Millis(2)},  {5, 10, sim::Millis(5)},
+      {5, 10, sim::Millis(2)}, {3, 15, sim::Millis(3)},
+      {3, 15, sim::Millis(1)}, {6, 2, sim::Millis(3)},
+      {6, 7, sim::Millis(1)},  {7, 8, 0},
+      {8, 9, sim::Millis(2)},  {8, 16, sim::Millis(1)},
+      {6, 17, sim::Millis(4)}, {2, 11, sim::Millis(1)},
+      {11, 0, sim::Millis(1)}, {0, 12, sim::Millis(1)},
+      {4, 13, 0},              {13, 14, sim::Millis(2)},
+  };
+  for (const auto& link : links) {
+    EXPECT_TRUE(topo.AddLink(link.a, link.b, link.delay).ok());
+  }
+  return topo;
+}
+
+TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
+  {
+    SCOPED_TRACE("hand-built dead ends");
+    const Topology topo = DeadEndTopology();
+    ExpectStreamedMatchesReference(topo);
+    // The tie the hop counts hinge on: source 1 reaches repository 4 in
+    // 4 ms both via router 2 (2 hops) and via routers 3, 5 (3 hops);
+    // router 2 pops first, so the 2-hop path wins.
+    Result<std::vector<OverlayDelayModel>> models =
+        OverlayDelayModel::FromTopologyAllSources(topo);
+    ASSERT_TRUE(models.ok());
+    EXPECT_EQ((*models)[0].PhysicalNode(1), 4u);
+    EXPECT_EQ((*models)[0].Delay(0, 1), sim::Millis(4));
+    EXPECT_EQ((*models)[0].Hops(0, 1), 2u);
+  }
+  {
+    SCOPED_TRACE("generator, 3 sources");
+    Rng rng(11);
+    TopologyGeneratorOptions options;
+    options.router_count = 40;
+    options.repository_count = 9;
+    options.source_count = 3;
+    Result<Topology> topo = GenerateTopology(options, rng);
+    ASSERT_TRUE(topo.ok());
+    ExpectStreamedMatchesReference(*topo);
+  }
+  for (uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("generator seed " + std::to_string(seed));
+    Rng rng(seed);
+    TopologyGeneratorOptions options;
+    options.router_count = 2000;
+    options.repository_count = 300;
+    Result<Topology> topo = GenerateTopology(options, rng);
+    ASSERT_TRUE(topo.ok());
+    ExpectStreamedMatchesReference(*topo);
+  }
+}
+
 TEST(DelayModelTest, StreamingBuilderRejectsDisconnectedTopology) {
-  Topology topo(3);
-  ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
-  topo.set_kind(0, NodeKind::kSource);
-  topo.set_kind(1, NodeKind::kRepository);
-  EXPECT_TRUE(OverlayDelayModel::FromTopologyAllSources(topo)
-                  .status()
-                  .IsFailedPrecondition());
+  {
+    SCOPED_TRACE("detached router");
+    Topology topo(3);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    topo.set_kind(0, NodeKind::kSource);
+    topo.set_kind(1, NodeKind::kRepository);
+    EXPECT_TRUE(OverlayDelayModel::FromTopologyAllSources(topo)
+                    .status()
+                    .IsFailedPrecondition());
+  }
+  {
+    // Pruning alone would peel the whole detached path away.
+    SCOPED_TRACE("detached router path");
+    Topology topo(5);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(topo.AddLink(2, 3, 1).ok());
+    ASSERT_TRUE(topo.AddLink(3, 4, 1).ok());
+    topo.set_kind(0, NodeKind::kSource);
+    topo.set_kind(1, NodeKind::kRepository);
+    EXPECT_TRUE(OverlayDelayModel::FromTopologyAllSources(topo, 4)
+                    .status()
+                    .IsFailedPrecondition());
+  }
+  {
+    // Pruning keeps a detached cycle, which no member can reach.
+    SCOPED_TRACE("detached router triangle");
+    Topology topo(5);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(topo.AddLink(2, 3, 1).ok());
+    ASSERT_TRUE(topo.AddLink(3, 4, 1).ok());
+    ASSERT_TRUE(topo.AddLink(4, 2, 1).ok());
+    topo.set_kind(0, NodeKind::kSource);
+    topo.set_kind(1, NodeKind::kRepository);
+    EXPECT_TRUE(OverlayDelayModel::FromTopologyAllSources(topo, 4)
+                    .status()
+                    .IsFailedPrecondition());
+  }
 }
 
 // ---------------------------------------------------------------------------
