@@ -145,18 +145,24 @@ void BM_ForwardingPredicate(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardingPredicate);
 
+// Args: routers, repositories. {600, 100} is the paper's base case
+// (§6.1), the world paper_sweep routes.
 void BM_FloydWarshall(benchmark::State& state) {
   Rng rng(3);
   net::TopologyGeneratorOptions options;
   options.router_count = static_cast<size_t>(state.range(0));
-  options.repository_count = 20;
+  options.repository_count = static_cast<size_t>(state.range(1));
   Result<net::Topology> topo = net::GenerateTopology(options, rng);
   for (auto _ : state) {
     auto routing = net::RoutingTables::FloydWarshall(*topo);
     benchmark::DoNotOptimize(routing);
   }
 }
-BENCHMARK(BM_FloydWarshall)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FloydWarshall)
+    ->Args({100, 20})
+    ->Args({300, 20})
+    ->Args({600, 100})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DijkstraRows(benchmark::State& state) {
   Rng rng(4);

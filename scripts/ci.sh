@@ -20,10 +20,11 @@
 # stays on the log); CI uploads the directory as an artifact, so every
 # commit contributes a point to the perf trajectory. Last, a digest
 # gate runs d3tbench (d3tbench/run.py) for one second on each of its
-# three workloads at seed 1: every run must exit 0 (all operations
-# correct) and print the seed-1 workload digest recorded in
-# d3tbench/README.md, so a change that moves any simulated statistic
-# fails the job.
+# three workloads at seed 1 and at the held-out seed 20021: every run
+# must exit 0 (all operations correct) and print that seed's workload
+# digest recorded in d3tbench/README.md, so a change that moves any
+# simulated statistic fails the job. Two seeds give two independent
+# worlds, so a tie broken differently in routing is less likely to hide.
 #
 # Lint: set D3T_LINT=1 to instead run the d3t-lint static-analysis
 # suite (tools/lint/d3t_lint.py) — fixture selftest first, then a
@@ -100,31 +101,35 @@ if [[ -n "${D3T_BENCH_SMOKE:-}" ]]; then
   "$BUILD_DIR/bench/scalability" --repositories 8 --items 4 --ticks 120 \
     --churn
   # Digest gate. README's digest table lists paper_sweep, large_world and
-  # wire_serve in that column order.
+  # wire_serve in that column order, one row per seed.
   WORKLOADS=(paper_sweep large_world wire_serve)
-  read -r -a EXPECTED_DIGESTS <<< "$(grep '^| 1 |' d3tbench/README.md |
-    grep -o '`[0-9a-f]\{16\}`' | tr -d '`' | tr '\n' ' ')"
-  if [[ ${#EXPECTED_DIGESTS[@]} -ne ${#WORKLOADS[@]} ]]; then
-    echo "bench smoke: no seed-1 digest row in d3tbench/README.md" >&2
-    exit 1
-  fi
-  for i in "${!WORKLOADS[@]}"; do
-    workload=${WORKLOADS[$i]}
-    echo "== bench smoke: d3tbench ${workload} =="
-    if ! output=$(python3 d3tbench/run.py --workload "$workload" --seed 1 \
-        --seconds 1); then
+  for seed in 1 20021; do
+    read -r -a EXPECTED_DIGESTS <<< "$(grep "^| ${seed} |" d3tbench/README.md |
+      grep -o '`[0-9a-f]\{16\}`' | tr -d '`' | tr '\n' ' ')"
+    if [[ ${#EXPECTED_DIGESTS[@]} -ne ${#WORKLOADS[@]} ]]; then
+      echo "bench smoke: no seed-${seed} digest row in d3tbench/README.md" >&2
+      exit 1
+    fi
+    for i in "${!WORKLOADS[@]}"; do
+      workload=${WORKLOADS[$i]}
+      echo "== bench smoke: d3tbench ${workload} seed ${seed} =="
+      if ! output=$(python3 d3tbench/run.py --workload "$workload" \
+          --seed "$seed" --seconds 1); then
+        echo "$output"
+        echo "bench smoke: d3tbench ${workload} seed ${seed} exited" \
+          "non-zero" >&2
+        exit 1
+      fi
       echo "$output"
-      echo "bench smoke: d3tbench ${workload} exited non-zero" >&2
-      exit 1
-    fi
-    echo "$output"
-    digest=$(sed -n "s/^workload ${workload} seed 1 digest \([0-9a-f]*\)$/\1/p" \
-      <<< "$output")
-    if [[ "$digest" != "${EXPECTED_DIGESTS[$i]}" ]]; then
-      echo "bench smoke: ${workload} digest '${digest}' !=" \
-        "'${EXPECTED_DIGESTS[$i]}' (d3tbench/README.md)" >&2
-      exit 1
-    fi
+      digest=$(sed -n \
+        "s/^workload ${workload} seed ${seed} digest \([0-9a-f]*\)$/\1/p" \
+        <<< "$output")
+      if [[ "$digest" != "${EXPECTED_DIGESTS[$i]}" ]]; then
+        echo "bench smoke: ${workload} seed ${seed} digest '${digest}' !=" \
+          "'${EXPECTED_DIGESTS[$i]}' (d3tbench/README.md)" >&2
+        exit 1
+      fi
+    done
   done
   exit 0
 fi

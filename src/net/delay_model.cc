@@ -70,64 +70,6 @@ Result<OverlayDelayModel> OverlayDelayModel::FromRoutingWithSource(
   return model;
 }
 
-namespace {
-
-/// `topo` with its dead-end routers peeled off: every non-member node
-/// (neither source nor repository) left with at most one adjacency entry
-/// is removed, repeatedly, and the survivors are renumbered in
-/// increasing NodeId order. See FromTopologyAllSources for why routing
-/// the core alone is exact.
-struct RoutedCore {
-  Topology topo;
-  /// Original NodeId -> core NodeId (kInvalidNode for peeled routers).
-  std::vector<NodeId> core_id;
-};
-
-Result<RoutedCore> PeelDeadEndRouters(const Topology& topo) {
-  const size_t n = topo.node_count();
-  std::vector<uint32_t> degree(n);
-  std::vector<NodeId> peelable;
-  for (NodeId v = 0; v < n; ++v) {
-    degree[v] = static_cast<uint32_t>(topo.neighbors(v).size());
-    if (topo.kind(v) == NodeKind::kRouter && degree[v] <= 1) {
-      peelable.push_back(v);
-    }
-  }
-  std::vector<bool> peeled(n, false);
-  while (!peelable.empty()) {
-    const NodeId v = peelable.back();
-    peelable.pop_back();
-    peeled[v] = true;
-    for (const auto& neighbor : topo.neighbors(v)) {
-      const NodeId u = neighbor.first;
-      // Only a router whose count just fell to one is new work: one that
-      // falls to zero was already queued at one.
-      if (!peeled[u] && --degree[u] == 1 &&
-          topo.kind(u) == NodeKind::kRouter) {
-        peelable.push_back(u);
-      }
-    }
-  }
-
-  std::vector<NodeId> core_id(n, kInvalidNode);
-  NodeId core_count = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (!peeled[v]) core_id[v] = core_count++;
-  }
-  Topology core(core_count);
-  for (NodeId v = 0; v < n; ++v) {
-    if (!peeled[v]) core.set_kind(core_id[v], topo.kind(v));
-  }
-  for (const Link& link : topo.links()) {
-    if (peeled[link.a] || peeled[link.b]) continue;
-    D3T_RETURN_IF_ERROR(
-        core.AddLink(core_id[link.a], core_id[link.b], link.delay));
-  }
-  return RoutedCore{std::move(core), std::move(core_id)};
-}
-
-}  // namespace
-
 Result<std::vector<OverlayDelayModel>>
 OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
                                           size_t worker_threads) {
@@ -152,7 +94,8 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
     models.push_back(std::move(model));
   }
 
-  Result<RoutedCore> core = PeelDeadEndRouters(topo);
+  // Route the core left after peeling dead-end routers; see the header.
+  Result<LeafPeel> core = PeelLeaves(topo, PeelScope::kRoutersOnly);
   if (!core.ok()) return core.status();
   // Member ids inside the core; members are never peeled.
   std::vector<NodeId> core_sources;
@@ -189,7 +132,7 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
     std::vector<uint32_t> hops;
   };
   auto run_task = [&](const RowTask& task, Scratch& scratch) {
-    RoutingTables::ShortestPathsFrom(core->topo, task.node, scratch.delay,
+    RoutingTables::ShortestPathsFrom(core->core, task.node, scratch.delay,
                                      scratch.hops);
     const size_t first = task.source_index == SIZE_MAX ? 0 : task.source_index;
     const size_t last =

@@ -56,12 +56,13 @@ class OverlayDelayModel {
   /// Fails if the topology is disconnected or has no source.
   ///
   /// Rows run over the *routed core* only: non-member nodes (neither
-  /// source nor repository) with at most one remaining adjacency entry
-  /// are peeled off repeatedly, and the survivors are renumbered in
-  /// increasing NodeId order. On generated networks (a random tree plus
-  /// 5% shortcut links) that removes over half the nodes. The result is
-  /// still identical — Delay, Hops and PhysicalNode — to DijkstraRows +
-  /// FromRoutingWithSource on the whole topology, because:
+  /// source nor repository) with exactly one remaining adjacency entry
+  /// are peeled off repeatedly (PeelLeaves with kRoutersOnly), and the
+  /// survivors are renumbered in increasing NodeId order. On generated
+  /// networks (a random tree plus 5% shortcut links) that removes over
+  /// half the nodes. The result is still identical — Delay, Hops and
+  /// PhysicalNode — to DijkstraRows + FromRoutingWithSource on the whole
+  /// topology, because:
   ///  - A peeled subtree hangs off one attachment node. Any relaxation
   ///    out of it returns through that node with added cost >= 0, so it
   ///    is never a *strict* improvement, and delay/hops change only on a

@@ -14,11 +14,14 @@ namespace d3t::net {
 /// All-pairs shortest-path tables (delay and hop count), stored as a
 /// *row table*: only rows that were actually computed are allocated.
 /// The paper computes routing with Floyd-Warshall (which populates every
-/// row); for large networks the equivalent Dijkstra-based computation
-/// restricted to the rows that matter (source + repositories) keeps
-/// memory proportional to |rows| x n instead of n x n. Callers that
-/// cannot afford even that should use ShortestPathsFrom to stream one
-/// row at a time through caller-owned scratch.
+/// row); here its triple loop runs on the graph's 2-core only, in
+/// O(c^3 + V^2) time for a core of c nodes, and the peeled rows are
+/// derived exactly. For large networks the equivalent Dijkstra-based
+/// computation restricted to the rows that matter (source +
+/// repositories) keeps memory proportional to |rows| x n instead of
+/// n x n. Callers that cannot afford even that should use
+/// ShortestPathsFrom to stream one row at a time through caller-owned
+/// scratch.
 class RoutingTables {
  public:
   /// Sentinel delay of an unreachable (or never computed) pair. Chosen
@@ -69,13 +72,39 @@ class RoutingTables {
 
   size_t node_count() const { return rows_.size(); }
 
-  /// Full Floyd-Warshall APSP exactly as in the paper (O(V^3)); every
-  /// row is allocated. Fails if the topology is disconnected.
+  /// Full Floyd-Warshall APSP with the paper's results; every row is
+  /// allocated. Fails if the topology is disconnected (checked once, up
+  /// front, on the whole topology).
+  ///
+  /// The classic triple loop runs only on the 2-core: every node with
+  /// exactly one adjacency entry is peeled off (PeelLeaves, any kind)
+  /// until none is left, and the survivors are renumbered in increasing
+  /// NodeId order. Then the leaves come back in reverse peel order:
+  /// Delay(p, y) = w + Delay(a, y) and Hops(p, y) = 1 + Hops(a, y) for a
+  /// leaf p with neighbor a over a link of delay w, for every node y
+  /// present when p was peeled, mirrored into column p. Cost
+  /// O(c^3 + V^2) for a core of c nodes instead of O(V^3); on the
+  /// paper's base case (701 nodes) c is 163-186 on generator seeds 1, 2,
+  /// 3 and 20021. Every Delay and Hops entry equals the classic loop on
+  /// the whole graph, because the loop changes an entry only on a
+  /// *strict* improvement:
+  ///  - A leaf's own step never strictly improves any other pair: a path
+  ///    through the leaf leaves and re-enters through a, at extra cost
+  ///    >= 0.
+  ///  - Before step a the leaf reaches nothing beyond a; from step a on,
+  ///    its row improves exactly when a's row does, by the same path
+  ///    plus the link.
+  ///  - The monotone relabel keeps the order of the steps k, and that
+  ///    order decides Hops between equal-delay paths.
+  /// This holds with zero-delay links and with parallel links, which
+  /// give a node two adjacency entries and so keep it in the core.
   static Result<RoutingTables> FloydWarshall(const Topology& topo);
 
   /// Runs Dijkstra from each node in `rows` only; other rows are never
   /// allocated. O(|rows| * E log V) time and O(|rows| * V) memory — used
-  /// for large networks. Duplicate row requests are computed once.
+  /// for large networks. Duplicate row requests are computed once. Fails
+  /// if the topology is disconnected (checked once, up front) or a row
+  /// is out of range.
   static Result<RoutingTables> DijkstraRows(const Topology& topo,
                                             const std::vector<NodeId>& rows);
 
@@ -98,6 +127,10 @@ class RoutingTables {
 
   /// Allocates (and sentinel-fills) row `from` if absent.
   Row& EnsureRow(NodeId from);
+
+  /// The classic triple loop over every node of `topo`, no checks: an
+  /// unreachable pair keeps the sentinels.
+  static RoutingTables TripleLoop(const Topology& topo);
 
   std::vector<Row> rows_;
 };

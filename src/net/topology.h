@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "sim/time.h"
 
@@ -73,6 +74,49 @@ class Topology {
   std::vector<Link> links_;
   std::vector<std::vector<std::pair<NodeId, sim::SimTime>>> adjacency_;
 };
+
+/// Which nodes PeelLeaves may remove.
+enum class PeelScope : uint8_t {
+  /// Any node, whatever its kind (all-pairs routing).
+  kAnyNode = 0,
+  /// Routers only: overlay members (sources and repositories) always
+  /// stay in the core (member-row routing).
+  kRoutersOnly = 1,
+};
+
+/// A node removed by PeelLeaves: when it went, `leaf` had exactly one
+/// adjacency entry left, a link of `delay` to `neighbor`.
+struct PeeledLeaf {
+  NodeId leaf = kInvalidNode;
+  NodeId neighbor = kInvalidNode;
+  sim::SimTime delay = 0;
+};
+
+/// A topology split into peeled leaves and the core that survives them.
+struct LeafPeel {
+  /// Leaves in peel order. Each leaf's neighbor is still present when
+  /// the leaf goes: it is peeled later or belongs to the core.
+  std::vector<PeeledLeaf> peeled;
+  /// The survivors renumbered in increasing NodeId order (a monotone
+  /// relabel), with their kinds and every link between two survivors,
+  /// in the original link order.
+  Topology core;
+  /// Original NodeId -> core NodeId (kInvalidNode for a peeled node).
+  std::vector<NodeId> core_id;
+  /// Core NodeId -> original NodeId, increasing.
+  std::vector<NodeId> original_id;
+};
+
+/// Repeatedly removes every node in `scope` that has exactly one
+/// adjacency entry left (parallel links count once each, so they keep
+/// both ends), recording the leaf's neighbor and link delay. On a
+/// generated network (a random tree plus 5% shortcut links) the core
+/// keeps about a quarter of the nodes under kAnyNode and under half
+/// under kRoutersOnly. A connected topology stays connected, and a
+/// nonempty one keeps at least one node: the last node of a tree has no
+/// entry left and is kept. Peeling does not check connectivity; a
+/// detached tree shrinks to one node like any other.
+Result<LeafPeel> PeelLeaves(const Topology& topo, PeelScope scope);
 
 }  // namespace d3t::net
 

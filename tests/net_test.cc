@@ -259,6 +259,205 @@ TEST(RoutingTest, StreamingRowMatchesDijkstraTables) {
   }
 }
 
+TEST(RoutingTest, FloydWarshallRejectsDisconnectedShapes) {
+  // Peeling leaves keeps a detached tree as one node and a detached
+  // cycle whole, so neither may slip past the connectivity check.
+  {
+    SCOPED_TRACE("isolated node next to a tree");
+    Topology topo(5);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(topo.AddLink(1, 2, 1).ok());
+    ASSERT_TRUE(topo.AddLink(1, 3, 1).ok());
+    EXPECT_TRUE(RoutingTables::FloydWarshall(topo)
+                    .status()
+                    .IsFailedPrecondition());
+  }
+  {
+    SCOPED_TRACE("detached tree");
+    Topology topo(6);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(topo.AddLink(1, 2, 1).ok());
+    ASSERT_TRUE(topo.AddLink(2, 0, 1).ok());
+    ASSERT_TRUE(topo.AddLink(3, 4, 1).ok());
+    ASSERT_TRUE(topo.AddLink(4, 5, 0).ok());
+    EXPECT_TRUE(RoutingTables::FloydWarshall(topo)
+                    .status()
+                    .IsFailedPrecondition());
+  }
+  {
+    SCOPED_TRACE("detached cycle");
+    Topology topo(6);
+    ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(topo.AddLink(1, 2, 1).ok());
+    ASSERT_TRUE(topo.AddLink(3, 4, 1).ok());
+    ASSERT_TRUE(topo.AddLink(4, 5, 1).ok());
+    ASSERT_TRUE(topo.AddLink(5, 3, 1).ok());
+    EXPECT_TRUE(RoutingTables::FloydWarshall(topo)
+                    .status()
+                    .IsFailedPrecondition());
+  }
+}
+
+TEST(RoutingTest, DijkstraRowsRejectsDisconnected) {
+  // Even when every requested row lies in the connected part.
+  Topology topo(4);
+  ASSERT_TRUE(topo.AddLink(0, 1, 1).ok());
+  ASSERT_TRUE(topo.AddLink(2, 3, 1).ok());
+  EXPECT_TRUE(RoutingTables::DijkstraRows(topo, {0, 1})
+                  .status()
+                  .IsFailedPrecondition());
+}
+
+TEST(RoutingTest, EmptyAndSingleNodeTopologiesRoute) {
+  Result<RoutingTables> empty = RoutingTables::FloydWarshall(Topology(0));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->node_count(), 0u);
+
+  Result<RoutingTables> single = RoutingTables::FloydWarshall(Topology(1));
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_EQ(single->Delay(0, 0), 0);
+  EXPECT_EQ(single->Hops(0, 0), 0u);
+
+  Result<RoutingTables> row = RoutingTables::DijkstraRows(Topology(1), {0});
+  ASSERT_TRUE(row.ok()) << row.status().ToString();
+  EXPECT_EQ(row->Delay(0, 0), 0);
+}
+
+/// Flat all-pairs tables from the classic triple loop over the whole
+/// graph: the oracle FloydWarshall's peeled computation must equal.
+struct ClassicTables {
+  size_t n = 0;
+  std::vector<sim::SimTime> delay;
+  std::vector<uint32_t> hops;
+};
+
+ClassicTables ClassicTripleLoop(const Topology& topo) {
+  ClassicTables t;
+  t.n = topo.node_count();
+  t.delay.assign(t.n * t.n, RoutingTables::kUnreachableDelay);
+  t.hops.assign(t.n * t.n, RoutingTables::kUnreachableHops);
+  for (size_t i = 0; i < t.n; ++i) {
+    t.delay[i * t.n + i] = 0;
+    t.hops[i * t.n + i] = 0;
+  }
+  for (const Link& link : topo.links()) {
+    if (link.delay < t.delay[link.a * t.n + link.b]) {
+      t.delay[link.a * t.n + link.b] = link.delay;
+      t.delay[link.b * t.n + link.a] = link.delay;
+      t.hops[link.a * t.n + link.b] = 1;
+      t.hops[link.b * t.n + link.a] = 1;
+    }
+  }
+  for (size_t k = 0; k < t.n; ++k) {
+    for (size_t i = 0; i < t.n; ++i) {
+      const sim::SimTime dik = t.delay[i * t.n + k];
+      if (dik >= RoutingTables::kUnreachableDelay) continue;
+      for (size_t j = 0; j < t.n; ++j) {
+        const sim::SimTime candidate = dik + t.delay[k * t.n + j];
+        if (candidate < t.delay[i * t.n + j]) {
+          t.delay[i * t.n + j] = candidate;
+          t.hops[i * t.n + j] = t.hops[i * t.n + k] + t.hops[k * t.n + j];
+        }
+      }
+    }
+  }
+  return t;
+}
+
+void ExpectMatchesClassicTripleLoop(const Topology& topo) {
+  Result<RoutingTables> routing = RoutingTables::FloydWarshall(topo);
+  ASSERT_TRUE(routing.ok()) << routing.status().ToString();
+  const ClassicTables reference = ClassicTripleLoop(topo);
+  ASSERT_EQ(routing->node_count(), reference.n);
+  for (NodeId i = 0; i < reference.n; ++i) {
+    for (NodeId j = 0; j < reference.n; ++j) {
+      // ASSERT: one mismatch is enough; a broken un-peel would otherwise
+      // report a whole row per leaf.
+      ASSERT_EQ(routing->Delay(i, j), reference.delay[i * reference.n + j])
+          << "pair " << i << "," << j;
+      ASSERT_EQ(routing->Hops(i, j), reference.hops[i * reference.n + j])
+          << "pair " << i << "," << j;
+    }
+  }
+}
+
+/// A random connected graph of one of five shapes with link delays in
+/// {0, 1, 2} us, so equal-delay paths with different hop counts are
+/// common. Node labels are shuffled so leaves and core interleave.
+Topology RandomSmallTopology(Rng& rng, int shape) {
+  const size_t n = static_cast<size_t>(rng.NextInRange(1, 14));
+  std::vector<NodeId> label(n);
+  for (NodeId v = 0; v < n; ++v) label[v] = v;
+  rng.Shuffle(label);
+  Topology topo(n);
+  auto link = [&](NodeId a, NodeId b) {
+    EXPECT_TRUE(topo.AddLink(label[a], label[b], rng.NextInRange(0, 2)).ok());
+  };
+  // Hangs nodes first..n-1 each off a random earlier node.
+  auto random_tree = [&](NodeId first) {
+    for (NodeId v = std::max<NodeId>(first, 1); v < n; ++v) {
+      link(static_cast<NodeId>(rng.NextBounded(v)), v);
+    }
+  };
+  switch (shape) {
+    case 0:  // pure path
+      for (NodeId v = 1; v < n; ++v) link(v - 1, v);
+      break;
+    case 1:  // star
+      for (NodeId v = 1; v < n; ++v) link(0, v);
+      break;
+    case 2:  // random tree
+      random_tree(1);
+      break;
+    case 3: {  // cycle with pendant trees
+      const NodeId ring =
+          static_cast<NodeId>(std::min<size_t>(n, 3 + rng.NextBounded(3)));
+      for (NodeId v = 1; v < ring; ++v) link(v - 1, v);
+      if (ring >= 3) link(ring - 1, 0);
+      random_tree(ring);
+      break;
+    }
+    default:  // tree plus random shortcuts
+      random_tree(1);
+      for (size_t e = rng.NextBounded(n); e > 0; --e) {
+        const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+        const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
+        if (a != b) link(a, b);
+      }
+      break;
+  }
+  // Parallel links, sometimes on a leaf's only link.
+  if (n >= 2 && rng.NextBernoulli(0.5)) {
+    const size_t parallel = 1 + rng.NextBounded(2);
+    for (size_t e = 0; e < parallel && e < topo.link_count(); ++e) {
+      const Link existing =
+          topo.links()[rng.NextBounded(topo.link_count())];
+      EXPECT_TRUE(
+          topo.AddLink(existing.a, existing.b, rng.NextInRange(0, 2)).ok());
+    }
+  }
+  return topo;
+}
+
+TEST(RoutingTest, FloydWarshallMatchesClassicTripleLoop) {
+  for (uint64_t seed : {1, 2, 3, 20021}) {
+    SCOPED_TRACE("generator seed " + std::to_string(seed));
+    Rng rng(seed);
+    TopologyGeneratorOptions options;  // 600 routers + 100 repos + source
+    Result<Topology> topo = GenerateTopology(options, rng);
+    ASSERT_TRUE(topo.ok());
+    ExpectMatchesClassicTripleLoop(*topo);
+  }
+  Rng rng(20021);
+  constexpr int kShapes = 5;
+  for (int g = 0; g < 2500; ++g) {
+    SCOPED_TRACE("random graph " + std::to_string(g));
+    const Topology topo = RandomSmallTopology(rng, g % kShapes);
+    ASSERT_TRUE(topo.IsConnected());
+    ExpectMatchesClassicTripleLoop(topo);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // OverlayDelayModel
 
@@ -397,6 +596,59 @@ Topology DeadEndTopology() {
     EXPECT_TRUE(topo.AddLink(link.a, link.b, link.delay).ok());
   }
   return topo;
+}
+
+// PeelLeaves on DeadEndTopology: the recorded neighbor of every leaf is
+// still present when the leaf goes, the core is relabelled in
+// increasing id order, and only routers go under kRoutersOnly.
+void ExpectPeel(const Topology& topo, PeelScope scope,
+                const std::vector<NodeId>& expected_core) {
+  Result<LeafPeel> peel = PeelLeaves(topo, scope);
+  ASSERT_TRUE(peel.ok()) << peel.status().ToString();
+  EXPECT_EQ(peel->original_id, expected_core);
+  EXPECT_EQ(peel->core.node_count(), expected_core.size());
+  EXPECT_EQ(peel->peeled.size() + expected_core.size(), topo.node_count());
+  std::vector<bool> gone(topo.node_count(), false);
+  for (const PeeledLeaf& leaf : peel->peeled) {
+    EXPECT_FALSE(gone[leaf.leaf]);
+    EXPECT_FALSE(gone[leaf.neighbor]) << "leaf " << leaf.leaf;
+    EXPECT_EQ(peel->core_id[leaf.leaf], kInvalidNode);
+    if (scope == PeelScope::kRoutersOnly) {
+      EXPECT_EQ(topo.kind(leaf.leaf), NodeKind::kRouter);
+    }
+    gone[leaf.leaf] = true;
+  }
+  for (NodeId c = 0; c < expected_core.size(); ++c) {
+    EXPECT_EQ(peel->core_id[expected_core[c]], c);
+    EXPECT_EQ(peel->core.kind(c), topo.kind(expected_core[c]));
+  }
+  EXPECT_TRUE(peel->core.IsConnected());
+}
+
+TEST(TopologyTest, PeelLeavesKeepsTheCoreInIdOrder) {
+  const Topology topo = DeadEndTopology();
+  {
+    SCOPED_TRACE("routers only");
+    ExpectPeel(topo, PeelScope::kRoutersOnly, {1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                               10, 15});
+  }
+  {
+    // Repository 9, then the chain 8-7 back to source 6, goes too;
+    // repository 10 stays on its two parallel links.
+    SCOPED_TRACE("any node");
+    ExpectPeel(topo, PeelScope::kAnyNode, {1, 2, 3, 4, 5, 10, 15});
+  }
+  {
+    // A tree keeps exactly one node, however it is peeled.
+    SCOPED_TRACE("path");
+    Topology path(3);
+    ASSERT_TRUE(path.AddLink(0, 1, 1).ok());
+    ASSERT_TRUE(path.AddLink(1, 2, 1).ok());
+    Result<LeafPeel> peel = PeelLeaves(path, PeelScope::kAnyNode);
+    ASSERT_TRUE(peel.ok());
+    EXPECT_EQ(peel->core.node_count(), 1u);
+    EXPECT_EQ(peel->peeled.size(), 2u);
+  }
 }
 
 TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
