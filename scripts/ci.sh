@@ -32,9 +32,10 @@
 #
 # Distributed smoke: set D3T_DISTRIBUTED_SMOKE=1 to instead build the
 # examples and run examples/distributed_world — four real processes
-# over loopback TCP; it exits 0 iff every node's EngineMetrics match
-# the direct in-process runs byte for byte, so one run asserts the
-# whole socket/cluster path end to end.
+# over loopback TCP; it exits 0 iff every node's EngineMetrics, shipped
+# home in its kObsSnapshot stream, match the direct in-process runs
+# byte for byte, so one run asserts the whole socket/cluster path end
+# to end.
 #
 # Chaos smoke: set D3T_CHAOS_SMOKE=1 to instead run the same example
 # with --chaos: scripted feed faults (drops, a reorder, a corrupted

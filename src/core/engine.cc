@@ -21,6 +21,52 @@ constexpr double kForcedResyncSeed =
 
 }  // namespace
 
+uint64_t HashPerMemberLoss(const std::vector<double>& per_member_loss) {
+  uint64_t hash = 1469598103934665603ull;
+  const uint8_t* bytes =
+      reinterpret_cast<const uint8_t*>(per_member_loss.data());
+  const size_t size = per_member_loss.size() * sizeof(double);
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+// Integer fields are counters (signed times keep their bits through the
+// uint64 cast); percentages are gauges.
+void PublishEngineMetrics(obs::Registry& reg, const EngineMetrics& m) {
+  auto count = [&reg](const char* name, uint64_t value) {
+    reg.Add(reg.Counter(name), value);
+  };
+  auto gauge = [&reg](const char* name, double value) {
+    reg.Set(reg.Gauge(name), value);
+  };
+  count("engine.messages", m.messages);
+  count("engine.checks", m.checks);
+  count("engine.source_updates", m.source_updates);
+  count("engine.events", m.events);
+  count("engine.scenario_ops", m.scenario_ops);
+  count("engine.repairs", m.repairs);
+  count("engine.dropped_jobs", m.dropped_jobs);
+  count("engine.delivery_batches", m.delivery_batches);
+  count("engine.process_wakeups", m.process_wakeups);
+  gauge("engine.loss_percent", m.loss_percent);
+  gauge("engine.pair_loss_percent", m.pair_loss_percent);
+  count("engine.tracked_pairs", m.tracked_pairs);
+  count("engine.source_messages", m.source_messages);
+  count("engine.source_checks", m.source_checks);
+  count("engine.coalesced_messages", m.coalesced_messages);
+  count("engine.orphaned_ticks", m.orphaned_ticks);
+  count("engine.outage_pair_time", static_cast<uint64_t>(m.outage_pair_time));
+  count("engine.outage_out_of_sync_time",
+        static_cast<uint64_t>(m.outage_out_of_sync_time));
+  gauge("engine.outage_loss_percent", m.outage_loss_percent);
+  count("engine.horizon", static_cast<uint64_t>(m.horizon));
+  count("engine.member_count", m.per_member_loss.size());
+  count("engine.per_member_loss_hash", HashPerMemberLoss(m.per_member_loss));
+}
+
 Engine::Engine(Overlay& overlay, const net::OverlayDelayModel& delays,
                const std::vector<trace::Trace>& traces,
                Disseminator& disseminator, const EngineOptions& options,
@@ -231,21 +277,7 @@ Result<EngineMetrics> Engine::Run() {
           ? 0.0
           : pair_loss_sum / static_cast<double>(total_pairs);
   if (options_.registry != nullptr) {
-    obs::Registry& reg = *options_.registry;
-    reg.Add(reg.Counter("engine.messages"), metrics_.messages);
-    reg.Add(reg.Counter("engine.checks"), metrics_.checks);
-    reg.Add(reg.Counter("engine.source_updates"), metrics_.source_updates);
-    reg.Add(reg.Counter("engine.events"), metrics_.events);
-    reg.Add(reg.Counter("engine.scenario_ops"), metrics_.scenario_ops);
-    reg.Add(reg.Counter("engine.repairs"), metrics_.repairs);
-    reg.Add(reg.Counter("engine.dropped_jobs"), metrics_.dropped_jobs);
-    reg.Add(reg.Counter("engine.delivery_batches"),
-            metrics_.delivery_batches);
-    reg.Add(reg.Counter("engine.process_wakeups"),
-            metrics_.process_wakeups);
-    reg.Set(reg.Gauge("engine.loss_percent"), metrics_.loss_percent);
-    reg.Set(reg.Gauge("engine.pair_loss_percent"),
-            metrics_.pair_loss_percent);
+    PublishEngineMetrics(*options_.registry, metrics_);
   }
   return metrics_;
 }

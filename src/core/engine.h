@@ -79,9 +79,12 @@ struct EngineOptions {
   /// engine; null (the default) records nothing.
   obs::Recorder* recorder = nullptr;
   /// When non-null, Run() publishes its final EngineMetrics into this
-  /// registry as "engine.*" counters/gauges (cold, once per run) and
-  /// feeds the "engine.span_jobs" histogram per process wakeup. Must
-  /// outlive the engine.
+  /// registry (cold, once per run): every scalar as an "engine.<field>"
+  /// counter or gauge, and the per-member loss vector as the
+  /// "engine.member_count" and "engine.per_member_loss_hash" counters
+  /// (see HashPerMemberLoss). It also feeds the "engine.span_jobs"
+  /// histogram per process wakeup. A snapshot of this registry is what
+  /// a cluster node ships home. Must outlive the engine.
   obs::Registry* registry = nullptr;
 };
 
@@ -149,6 +152,17 @@ struct EngineMetrics {
   /// Observation window length (microseconds).
   sim::SimTime horizon = 0;
 };
+
+/// FNV-1a 64 over the raw bytes of a per-member loss vector. A metrics
+/// snapshot holds fixed-size entries, not a member-count-sized array,
+/// but this digest still pins the vector bit for bit: any divergence in
+/// a value, the order or the length breaks the match.
+uint64_t HashPerMemberLoss(const std::vector<double>& per_member_loss);
+
+/// Adds `metrics` to `registry` under the names EngineOptions::registry
+/// documents. Engine::Run calls this once per run.
+void PublishEngineMetrics(obs::Registry& registry,
+                          const EngineMetrics& metrics);
 
 /// Couples traces -> source -> overlay -> repositories on a discrete-
 /// event simulator with a busy-server model of computational delay at

@@ -165,4 +165,16 @@ bool SnapshotsIdentical(const Snapshot& a, const Snapshot& b) {
                      a.count * sizeof(SnapshotEntry)) == 0;
 }
 
+const SnapshotEntry* FirstMismatch(const Snapshot& expected,
+                                   const Snapshot& actual) {
+  for (uint32_t i = 0; i < expected.count; ++i) {
+    const SnapshotEntry& want = expected.entries[i];
+    const SnapshotEntry* got = FindEntry(actual, want.name_hash, want.index);
+    if (got == nullptr || got->kind != want.kind || got->value != want.value) {
+      return &want;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace d3t::obs

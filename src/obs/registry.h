@@ -173,6 +173,14 @@ double SnapshotGauge(const Snapshot& snapshot, const char* name);
 /// Byte-wise equality over the live prefix — the wire round-trip pin.
 bool SnapshotsIdentical(const Snapshot& a, const Snapshot& b);
 
+/// The first entry of `expected` that `actual` lacks (no entry with the
+/// same name hash and index) or holds with a different kind or value
+/// bits; nullptr when `actual` reproduces all of `expected`. Extra
+/// entries in `actual` are ignored, so a run's snapshot can be checked
+/// against a narrower reference. Name the result with Registry::NameOf.
+const SnapshotEntry* FirstMismatch(const Snapshot& expected,
+                                   const Snapshot& actual);
+
 }  // namespace d3t::obs
 
 #endif  // D3T_OBS_REGISTRY_H_

@@ -15,19 +15,6 @@
 namespace d3t::serve {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-bool BitEqualDouble(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-Status Mismatch(const char* field) {
-  std::string msg("engine report mismatch: ");
-  msg += field;
-  return Status::Internal(msg);
-}
-
 /// Maps a waitpid status onto the report taxonomy.
 Status ChildExitStatus(size_t node, int wstatus) {
   if (WIFEXITED(wstatus)) {
@@ -54,110 +41,6 @@ Status ChildExitStatus(size_t node, int wstatus) {
 
 }  // namespace
 
-uint64_t HashPerMemberLoss(const std::vector<double>& per_member_loss) {
-  uint64_t hash = kFnvOffset;
-  const uint8_t* bytes =
-      reinterpret_cast<const uint8_t*>(per_member_loss.data());
-  const size_t size = per_member_loss.size() * sizeof(double);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-net::wire::Frame MakeEngineReport(uint32_t node,
-                                  const core::EngineMetrics& metrics) {
-  net::wire::EngineReportPayload p{};
-  p.node = node;
-  p.member_count = static_cast<uint32_t>(metrics.per_member_loss.size());
-  p.loss_percent = metrics.loss_percent;
-  p.pair_loss_percent = metrics.pair_loss_percent;
-  p.outage_loss_percent = metrics.outage_loss_percent;
-  p.tracked_pairs = metrics.tracked_pairs;
-  p.messages = metrics.messages;
-  p.source_messages = metrics.source_messages;
-  p.checks = metrics.checks;
-  p.source_checks = metrics.source_checks;
-  p.source_updates = metrics.source_updates;
-  p.events = metrics.events;
-  p.delivery_batches = metrics.delivery_batches;
-  p.coalesced_messages = metrics.coalesced_messages;
-  p.process_wakeups = metrics.process_wakeups;
-  p.scenario_ops = metrics.scenario_ops;
-  p.repairs = metrics.repairs;
-  p.orphaned_ticks = metrics.orphaned_ticks;
-  p.dropped_jobs = metrics.dropped_jobs;
-  p.outage_pair_time = metrics.outage_pair_time;
-  p.outage_out_of_sync_time = metrics.outage_out_of_sync_time;
-  p.horizon = metrics.horizon;
-  p.per_member_loss_hash = HashPerMemberLoss(metrics.per_member_loss);
-  return net::wire::Frame::EngineReport(p);
-}
-
-Status EngineReportMatches(const net::wire::EngineReportPayload& report,
-                           const core::EngineMetrics& expected) {
-  if (report.member_count != expected.per_member_loss.size()) {
-    return Mismatch("member_count");
-  }
-  if (!BitEqualDouble(report.loss_percent, expected.loss_percent)) {
-    return Mismatch("loss_percent");
-  }
-  if (!BitEqualDouble(report.pair_loss_percent, expected.pair_loss_percent)) {
-    return Mismatch("pair_loss_percent");
-  }
-  if (!BitEqualDouble(report.outage_loss_percent,
-                      expected.outage_loss_percent)) {
-    return Mismatch("outage_loss_percent");
-  }
-  if (report.tracked_pairs != expected.tracked_pairs) {
-    return Mismatch("tracked_pairs");
-  }
-  if (report.messages != expected.messages) return Mismatch("messages");
-  if (report.source_messages != expected.source_messages) {
-    return Mismatch("source_messages");
-  }
-  if (report.checks != expected.checks) return Mismatch("checks");
-  if (report.source_checks != expected.source_checks) {
-    return Mismatch("source_checks");
-  }
-  if (report.source_updates != expected.source_updates) {
-    return Mismatch("source_updates");
-  }
-  if (report.events != expected.events) return Mismatch("events");
-  if (report.delivery_batches != expected.delivery_batches) {
-    return Mismatch("delivery_batches");
-  }
-  if (report.coalesced_messages != expected.coalesced_messages) {
-    return Mismatch("coalesced_messages");
-  }
-  if (report.process_wakeups != expected.process_wakeups) {
-    return Mismatch("process_wakeups");
-  }
-  if (report.scenario_ops != expected.scenario_ops) {
-    return Mismatch("scenario_ops");
-  }
-  if (report.repairs != expected.repairs) return Mismatch("repairs");
-  if (report.orphaned_ticks != expected.orphaned_ticks) {
-    return Mismatch("orphaned_ticks");
-  }
-  if (report.dropped_jobs != expected.dropped_jobs) {
-    return Mismatch("dropped_jobs");
-  }
-  if (report.outage_pair_time != expected.outage_pair_time) {
-    return Mismatch("outage_pair_time");
-  }
-  if (report.outage_out_of_sync_time != expected.outage_out_of_sync_time) {
-    return Mismatch("outage_out_of_sync_time");
-  }
-  if (report.horizon != expected.horizon) return Mismatch("horizon");
-  if (report.per_member_loss_hash !=
-      HashPerMemberLoss(expected.per_member_loss)) {
-    return Mismatch("per_member_loss_hash");
-  }
-  return Status::Ok();
-}
-
 Status ClusterReport::FirstError() const {
   for (const Status& exit : exits) {
     if (!exit.ok()) return exit;
@@ -176,6 +59,12 @@ constexpr size_t kEventsPerChunk =
     sizeof(net::wire::ObsSnapshotPayload{}.words) /
     (sizeof(obs::TraceEvent));
 
+/// Chunks needed for `records` at `per_chunk` records each; overflow-free
+/// for any 64-bit count.
+uint64_t ChunksFor(uint64_t records, size_t per_chunk) {
+  return records / per_chunk + (records % per_chunk != 0 ? 1 : 0);
+}
+
 Status ObsStreamError(const char* what, uint32_t seq) {
   std::string msg("obs snapshot stream: ");
   msg += what;
@@ -190,11 +79,9 @@ std::vector<net::wire::Frame> MakeObsSnapshotFrames(
     uint32_t node, const obs::Snapshot& snapshot,
     const obs::Recorder* recorder) {
   const size_t events = recorder != nullptr ? recorder->size() : 0;
-  const uint32_t entry_chunks = static_cast<uint32_t>(
-      (snapshot.count + kEntriesPerChunk - 1) / kEntriesPerChunk);
-  const uint32_t event_chunks =
-      static_cast<uint32_t>((events + kEventsPerChunk - 1) / kEventsPerChunk);
-  const uint32_t total = 1 + entry_chunks + event_chunks;
+  const uint32_t total = static_cast<uint32_t>(
+      1 + ChunksFor(snapshot.count, kEntriesPerChunk) +
+      ChunksFor(events, kEventsPerChunk));
 
   std::vector<net::wire::Frame> frames;
   frames.reserve(total);
@@ -267,7 +154,17 @@ Status ObsAccumulator::Accept(const net::wire::ObsSnapshotPayload& payload) {
       return ObsStreamError("snapshot entry total exceeds capacity",
                             payload.seq);
     }
-    trace_.reserve(expected_events_);
+    // The announced totals come off the wire: they must chunk into
+    // exactly the chunks that follow the header, and they are never
+    // used to size an allocation (the trace grows only as real chunks
+    // arrive).
+    const uint64_t chunks =
+        ChunksFor(expected_entries_, kEntriesPerChunk) +
+        ChunksFor(expected_events_, kEventsPerChunk);
+    if (chunks != total_ - 1) {
+      return ObsStreamError("announced records do not fill the total",
+                            payload.seq);
+    }
     ++next_seq_;
     return Status::Ok();
   }

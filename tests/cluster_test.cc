@@ -9,10 +9,13 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/disseminator.h"
@@ -40,46 +43,108 @@ net::wire::Frame TestUpdate(uint32_t item) {
 
 TEST(ClusterHashTest, PerMemberLossHashPinsValuesOrderAndLength) {
   const std::vector<double> base = {0.0, 1.25, -1.0, 3.5};
-  const uint64_t hash = HashPerMemberLoss(base);
-  EXPECT_EQ(hash, HashPerMemberLoss({0.0, 1.25, -1.0, 3.5}));
-  EXPECT_NE(hash, HashPerMemberLoss({0.0, 1.25, -1.0}));        // length
-  EXPECT_NE(hash, HashPerMemberLoss({1.25, 0.0, -1.0, 3.5}));   // order
-  EXPECT_NE(hash, HashPerMemberLoss({0.0, 1.25, -1.0, 3.51}));  // value
+  const uint64_t hash = core::HashPerMemberLoss(base);
+  EXPECT_EQ(hash, core::HashPerMemberLoss({0.0, 1.25, -1.0, 3.5}));
+  EXPECT_NE(hash, core::HashPerMemberLoss({0.0, 1.25, -1.0}));  // length
+  EXPECT_NE(hash, core::HashPerMemberLoss({1.25, 0.0, -1.0, 3.5}));  // order
+  EXPECT_NE(hash, core::HashPerMemberLoss({0.0, 1.25, -1.0, 3.51}));  // value
 }
 
-TEST(ClusterHashTest, EngineReportRoundTripsAndDetectsDrift) {
-  core::EngineMetrics metrics;
-  metrics.loss_percent = 1.5;
-  metrics.pair_loss_percent = 2.25;
-  metrics.tracked_pairs = 11;
-  metrics.per_member_loss = {0.0, 1.0, 2.0};
-  metrics.messages = 1234;
-  metrics.events = 999;
-  metrics.horizon = 5000000;
-  net::wire::Frame frame = MakeEngineReport(3, metrics);
-  ASSERT_EQ(frame.type, net::wire::FrameType::kEngineReport);
-  EXPECT_EQ(frame.u.engine_report.node, 3u);
-  EXPECT_TRUE(EngineReportMatches(frame.u.engine_report, metrics).ok());
+// The snapshot comparison a cluster collector runs against a direct run
+// names the diverging metric for a change to ANY EngineMetrics field:
+// each scalar perturbed by the smallest step that changes its bits, and
+// the per-member vector's length, order and one value.
+TEST(ClusterHashTest, EngineSnapshotNamesEveryDivergingMetric) {
+  core::EngineMetrics base;
+  base.loss_percent = 1.5;
+  base.pair_loss_percent = 2.25;
+  base.tracked_pairs = 11;
+  base.per_member_loss = {0.0, 1.0, 2.0};
+  base.messages = 1234;
+  base.source_messages = 40;
+  base.checks = 5678;
+  base.source_checks = 90;
+  base.source_updates = 77;
+  base.events = 999;
+  base.delivery_batches = 800;
+  base.coalesced_messages = 12;
+  base.process_wakeups = 700;
+  base.scenario_ops = 2;
+  base.repairs = 3;
+  base.orphaned_ticks = 4;
+  base.dropped_jobs = 5;
+  base.outage_pair_time = 600000;
+  base.outage_out_of_sync_time = 3000;
+  base.outage_loss_percent = 0.5;
+  base.horizon = 5000000;
 
-  core::EngineMetrics drifted = metrics;
-  drifted.messages += 1;
-  Status mismatch = EngineReportMatches(frame.u.engine_report, drifted);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_NE(mismatch.message().find("messages"), std::string::npos);
+  obs::Registry expected_registry;
+  core::PublishEngineMetrics(expected_registry, base);
+  const obs::Snapshot expected = expected_registry.TakeSnapshot();
+  // 20 scalars + the per-member vector's length and digest.
+  ASSERT_EQ(expected.count, 22u);
+  {
+    obs::Registry same;
+    core::PublishEngineMetrics(same, base);
+    EXPECT_EQ(obs::FirstMismatch(expected, same.TakeSnapshot()), nullptr);
+  }
 
-  core::EngineMetrics reordered = metrics;
-  reordered.per_member_loss = {1.0, 0.0, 2.0};
-  EXPECT_FALSE(
-      EngineReportMatches(frame.u.engine_report, reordered).ok());
+  auto up = [](double v) { return std::nextafter(v, 1e300); };
+  const struct {
+    const char* name;
+    std::function<void(core::EngineMetrics&)> perturb;
+  } kCases[] = {
+      {"engine.loss_percent",
+       [&](auto& m) { m.loss_percent = up(m.loss_percent); }},
+      {"engine.pair_loss_percent",
+       [&](auto& m) { m.pair_loss_percent = up(m.pair_loss_percent); }},
+      {"engine.tracked_pairs", [](auto& m) { ++m.tracked_pairs; }},
+      {"engine.messages", [](auto& m) { ++m.messages; }},
+      {"engine.source_messages", [](auto& m) { ++m.source_messages; }},
+      {"engine.checks", [](auto& m) { ++m.checks; }},
+      {"engine.source_checks", [](auto& m) { ++m.source_checks; }},
+      {"engine.source_updates", [](auto& m) { ++m.source_updates; }},
+      {"engine.events", [](auto& m) { ++m.events; }},
+      {"engine.delivery_batches", [](auto& m) { ++m.delivery_batches; }},
+      {"engine.coalesced_messages", [](auto& m) { ++m.coalesced_messages; }},
+      {"engine.process_wakeups", [](auto& m) { ++m.process_wakeups; }},
+      {"engine.scenario_ops", [](auto& m) { ++m.scenario_ops; }},
+      {"engine.repairs", [](auto& m) { ++m.repairs; }},
+      {"engine.orphaned_ticks", [](auto& m) { ++m.orphaned_ticks; }},
+      {"engine.dropped_jobs", [](auto& m) { ++m.dropped_jobs; }},
+      {"engine.outage_pair_time", [](auto& m) { ++m.outage_pair_time; }},
+      {"engine.outage_out_of_sync_time",
+       [](auto& m) { ++m.outage_out_of_sync_time; }},
+      {"engine.outage_loss_percent",
+       [&](auto& m) { m.outage_loss_percent = up(m.outage_loss_percent); }},
+      {"engine.horizon", [](auto& m) { ++m.horizon; }},
+      {"engine.member_count", [](auto& m) { m.per_member_loss.pop_back(); }},
+      {"engine.per_member_loss_hash",
+       [](auto& m) { std::swap(m.per_member_loss[0], m.per_member_loss[1]); }},
+      {"engine.per_member_loss_hash",
+       [&](auto& m) { m.per_member_loss[2] = up(m.per_member_loss[2]); }},
+  };
+  for (const auto& drift : kCases) {
+    SCOPED_TRACE(drift.name);
+    core::EngineMetrics drifted = base;
+    drift.perturb(drifted);
+    obs::Registry actual;
+    core::PublishEngineMetrics(actual, drifted);
+    const obs::SnapshotEntry* diverged =
+        obs::FirstMismatch(expected, actual.TakeSnapshot());
+    ASSERT_NE(diverged, nullptr);
+    const std::string* name = expected_registry.NameOf(diverged->name_hash);
+    ASSERT_NE(name, nullptr);
+    EXPECT_EQ(*name, drift.name);
+  }
 }
 
 TEST(ClusterTest, ChildrenReportFramesAndExitCleanly) {
   std::vector<ProcessBody> bodies;
   for (uint32_t node = 0; node < 2; ++node) {
     bodies.push_back([node](ProcessContext& ctx) {
-      return ctx.transport.Send(
-          ctx.self, ctx.collector,
-          net::wire::Frame::MetricsReport(node, node + 1, 0, 0, 0, 0, 0));
+      return ctx.transport.Send(ctx.self, ctx.collector,
+                                net::wire::Frame::Shutdown(node, node + 1));
     });
   }
   auto report = RunCluster(bodies);
@@ -91,9 +156,9 @@ TEST(ClusterTest, ChildrenReportFramesAndExitCleanly) {
   // frame to its child and check the pair.
   ASSERT_EQ(report->frame_sources.size(), 2u);
   for (size_t i = 0; i < report->frames.size(); ++i) {
-    ASSERT_EQ(report->frames[i].type, net::wire::FrameType::kMetricsReport);
-    EXPECT_EQ(report->frames[i].u.metrics.node, report->frame_sources[i]);
-    EXPECT_EQ(report->frames[i].u.metrics.frames_tx,
+    ASSERT_EQ(report->frames[i].type, net::wire::FrameType::kShutdown);
+    EXPECT_EQ(report->frames[i].u.shutdown.node, report->frame_sources[i]);
+    EXPECT_EQ(report->frames[i].u.shutdown.seq,
               report->frame_sources[i] + 1u);
   }
 }
@@ -207,8 +272,8 @@ TEST(ClusterTest, SupervisorRestartsCrashedChildWithinBudget) {
     }
     return ctx.transport.Send(
         ctx.self, ctx.collector,
-        net::wire::Frame::MetricsReport(
-            static_cast<uint32_t>(ctx.incarnation), 1, 0, 0, 0, 0, 0));
+        net::wire::Frame::Shutdown(static_cast<uint32_t>(ctx.incarnation),
+                                   1));
   });
   ClusterOptions options;
   options.max_restarts = 1;
@@ -220,7 +285,7 @@ TEST(ClusterTest, SupervisorRestartsCrashedChildWithinBudget) {
   // incarnation's frame arrived.
   EXPECT_TRUE(report->exits[0].ok()) << report->exits[0].ToString();
   ASSERT_EQ(report->frames.size(), 1u);
-  EXPECT_EQ(report->frames[0].u.metrics.node, 1u);  // incarnation 1
+  EXPECT_EQ(report->frames[0].u.shutdown.node, 1u);  // incarnation 1
 }
 
 TEST(ClusterTest, SupervisorGivesUpPastTheRestartBudget) {
@@ -269,8 +334,10 @@ TEST(ClusterTest, WedgedChildIsKilledAtTheDeadline) {
 // ---------------------------------------------------------------------------
 // The acceptance pin: a world served across a real process boundary and
 // a real TCP stream reproduces the direct run's EngineMetrics byte for
-// byte — every scalar bit-identical, the per-member loss vector pinned
-// by count + FNV-1a hash.
+// byte. The node ships its registry snapshot home as kObsSnapshot
+// frames; every "engine.*" entry of the direct run's snapshot (each
+// scalar, the per-member loss vector as count + FNV-1a digest, the span
+// histogram) must reappear with the same bits.
 
 d3t::Result<core::Overlay> BuildWorldOverlay(const exp::World& world) {
   core::LelaOptions lela;
@@ -300,15 +367,19 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
   core::EngineOptions engine_options;
 
   // Direct run: one library call, no wire, no processes.
+  obs::Registry direct_registry;
+  core::EngineOptions direct_options = engine_options;
+  direct_options.registry = &direct_registry;
   auto direct_overlay = BuildWorldOverlay(world);
   ASSERT_TRUE(direct_overlay.ok()) << direct_overlay.status().ToString();
   std::unique_ptr<core::Disseminator> policy =
       core::MakeDisseminator("distributed");
   core::Engine direct(*direct_overlay, world.delays(0), world.traces(),
-                      *policy, engine_options,
+                      *policy, direct_options,
                       /*change_timelines=*/nullptr, /*scenario=*/nullptr);
   auto direct_metrics = direct.Run();
   ASSERT_TRUE(direct_metrics.ok()) << direct_metrics.status().ToString();
+  const obs::Snapshot expected = direct_registry.TakeSnapshot();
 
   // Cluster run: process 0 is the node, process 1 the publisher.
   std::vector<ProcessBody> bodies;
@@ -316,9 +387,11 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
     auto overlay = BuildWorldOverlay(world);
     if (!overlay.ok()) return overlay.status();
     net::InProcTransport data(overlay->member_count(), 64);
+    obs::Registry registry;
     NodeOptions options;
     options.engine = engine_options;
     options.feed_self = ctx.self;
+    options.registry = &registry;
     Node node(*overlay, world.delays(0), ctx.transport, data, options);
     const int64_t deadline = net::MonotonicMillis() + 30000;
     while (!node.feed_complete()) {
@@ -334,9 +407,12 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
     }
     auto node_report = node.Serve();
     if (!node_report.ok()) return node_report.status();
-    return ctx.transport.Send(
-        ctx.self, ctx.collector,
-        MakeEngineReport(ctx.self, node_report->engine));
+    for (const net::wire::Frame& frame :
+         MakeObsSnapshotFrames(ctx.self, registry.TakeSnapshot())) {
+      Status sent = ctx.transport.Send(ctx.self, ctx.collector, frame);
+      if (!sent.ok()) return sent;
+    }
+    return Status::Ok();
   });
   bodies.push_back([&world](ProcessContext& ctx) {
     Status connected = ctx.transport.ConnectPeer(0, ctx.ports[0]);
@@ -363,20 +439,24 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   ASSERT_TRUE(cluster->FirstError().ok()) << cluster->FirstError().ToString();
 
-  const net::wire::EngineReportPayload* served = nullptr;
+  ObsAccumulator served;
   for (size_t i = 0; i < cluster->frames.size(); ++i) {
-    if (cluster->frames[i].type == net::wire::FrameType::kEngineReport &&
+    if (cluster->frames[i].type == net::wire::FrameType::kObsSnapshot &&
         cluster->frame_sources[i] == 0) {
-      served = &cluster->frames[i].u.engine_report;
+      Status accepted = served.Accept(cluster->frames[i].u.obs_snapshot);
+      ASSERT_TRUE(accepted.ok()) << accepted.ToString();
     }
   }
-  ASSERT_NE(served, nullptr) << "node 0 never reported its metrics";
-  Status identical = EngineReportMatches(*served, *direct_metrics);
-  EXPECT_TRUE(identical.ok()) << identical.ToString();
+  ASSERT_TRUE(served.complete()) << "node 0 never reported its metrics";
+  const obs::SnapshotEntry* diverged =
+      obs::FirstMismatch(expected, served.snapshot());
+  EXPECT_EQ(diverged, nullptr)
+      << "first diverging metric: "
+      << *direct_registry.NameOf(diverged->name_hash);
   // The real acceptance content, spelled out: nonzero work happened and
   // crossed the boundary unchanged.
-  EXPECT_GT(served->messages, 0u);
-  EXPECT_GT(served->events, 0u);
+  EXPECT_GT(obs::SnapshotCounter(served.snapshot(), "engine.messages"), 0u);
+  EXPECT_GT(obs::SnapshotCounter(served.snapshot(), "engine.events"), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -317,5 +317,61 @@ TEST(ObsSnapshotBridgeTest, RejectsGapsReordersAndMalformedChunks) {
   }
 }
 
+TEST(ObsSnapshotBridgeTest, RejectsHeaderTotalsThatDoNotFillTheStream) {
+  // A header is untrusted input: an announced event count far beyond
+  // what its chunk total can carry is a precise error, never an
+  // allocation sized from the wire.
+  const std::vector<net::wire::Frame> frames =
+      serve::MakeObsSnapshotFrames(0, BigSnapshot(8), nullptr);
+  ASSERT_EQ(frames.size(), 3u);  // header + 2 entry chunks
+  net::wire::ObsSnapshotPayload header = frames[0].u.obs_snapshot;
+  header.words[2] = uint64_t{1} << 60;
+  serve::ObsAccumulator huge;
+  Status accepted = huge.Accept(header);
+  EXPECT_TRUE(accepted.IsInvalidArgument()) << accepted.ToString();
+
+  // One event too many or too few for the total is just as wrong.
+  header = frames[0].u.obs_snapshot;
+  header.words[2] = 1;
+  serve::ObsAccumulator extra;
+  EXPECT_TRUE(extra.Accept(header).IsInvalidArgument());
+  header = frames[0].u.obs_snapshot;
+  header.words[0] = 0;
+  serve::ObsAccumulator short_entries;
+  EXPECT_TRUE(short_entries.Accept(header).IsInvalidArgument());
+}
+
+TEST(RegistryTest, FirstMismatchNamesMissingKindAndValueDrift) {
+  Registry expected_registry;
+  expected_registry.Add(expected_registry.Counter("a.count"), 3);
+  expected_registry.Set(expected_registry.Gauge("a.level"), 0.25);
+  const Snapshot expected = expected_registry.TakeSnapshot();
+
+  // A superset reproduces the reference: extra entries are ignored.
+  Registry superset;
+  superset.Add(superset.Counter("z.extra"), 9);
+  superset.Set(superset.Gauge("a.level"), 0.25);
+  superset.Add(superset.Counter("a.count"), 3);
+  EXPECT_EQ(FirstMismatch(expected, superset.TakeSnapshot()), nullptr);
+
+  auto first_diverging = [&](const Snapshot& actual) -> std::string {
+    const SnapshotEntry* entry = FirstMismatch(expected, actual);
+    return entry == nullptr ? "" : *expected_registry.NameOf(entry->name_hash);
+  };
+  Registry missing;
+  missing.Set(missing.Gauge("a.level"), 0.25);
+  EXPECT_EQ(first_diverging(missing.TakeSnapshot()), "a.count");
+
+  Registry value;
+  value.Add(value.Counter("a.count"), 3);
+  value.Set(value.Gauge("a.level"), -0.25);
+  EXPECT_EQ(first_diverging(value.TakeSnapshot()), "a.level");
+
+  Registry kind;
+  kind.Set(kind.Gauge("a.count"), BitsToDouble(3));  // same bits, gauge
+  kind.Set(kind.Gauge("a.level"), 0.25);
+  EXPECT_EQ(first_diverging(kind.TakeSnapshot()), "a.count");
+}
+
 }  // namespace
 }  // namespace d3t::obs

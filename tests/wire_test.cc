@@ -15,7 +15,7 @@
 namespace d3t::net::wire {
 namespace {
 
-// All ten encodable frame kinds with rng-driven payloads. Each entry
+// All eight encodable frame kinds with rng-driven payloads. Each entry
 // re-generates deterministically from the same Rng stream, so tests can
 // iterate kinds while varying content per round.
 std::vector<Frame> RandomFrames(Rng& rng) {
@@ -28,30 +28,6 @@ std::vector<Frame> RandomFrames(Rng& rng) {
   obs.seq = u32();
   obs.total = u32();
   for (uint64_t& word : obs.words) word = rng.Next();
-  EngineReportPayload report = {};
-  report.node = u32();
-  report.member_count = u32();
-  report.loss_percent = rng.NextDouble();
-  report.pair_loss_percent = rng.NextDouble();
-  report.outage_loss_percent = rng.NextDouble();
-  report.tracked_pairs = rng.Next();
-  report.messages = rng.Next();
-  report.source_messages = rng.Next();
-  report.checks = rng.Next();
-  report.source_checks = rng.Next();
-  report.source_updates = rng.Next();
-  report.events = rng.Next();
-  report.delivery_batches = rng.Next();
-  report.coalesced_messages = rng.Next();
-  report.process_wakeups = rng.Next();
-  report.scenario_ops = rng.Next();
-  report.repairs = rng.Next();
-  report.orphaned_ticks = rng.Next();
-  report.dropped_jobs = rng.Next();
-  report.outage_pair_time = i64();
-  report.outage_out_of_sync_time = i64();
-  report.horizon = i64();
-  report.per_member_loss_hash = rng.Next();
   return {
       Frame::Hello(u32(), u32(), u32(), rng.Next(), u32()),
       Frame::SourceTick(u32(), u32(), i64(), rng.NextDouble(), u32()),
@@ -60,14 +36,23 @@ std::vector<Frame> RandomFrames(Rng& rng) {
       Frame::Poll(u32(), u32(), i64(), u32(), u32(), rng.NextDouble()),
       Frame::ScenarioOp(i64(), u32() % 5, u32(), u32(), rng.NextDouble(),
                         u32()),
-      Frame::MetricsReport(u32(), rng.Next(), rng.Next(), rng.Next(),
-                           rng.Next(), rng.Next(), rng.Next(), rng.Next(),
-                           rng.Next(), rng.Next()),
-      Frame::EngineReport(report),
       Frame::Shutdown(u32(), u32()),
       Frame::Resubscribe(u32(), u32()),
       Frame::ObsSnapshot(obs),
   };
+}
+
+// Fletcher-16 over header bytes [0, 6) + payload, restated here so a
+// test can forge frames the encoder refuses to build.
+uint16_t ForgedChecksum(const std::vector<uint8_t>& image) {
+  uint32_t sum1 = 0;
+  uint32_t sum2 = 0;
+  for (size_t i = 0; i < image.size(); ++i) {
+    if (i == 6 || i == 7) continue;  // the checksum field itself
+    sum1 = (sum1 + image[i]) % 255;
+    sum2 = (sum2 + sum1) % 255;
+  }
+  return static_cast<uint16_t>((sum1 << 8) | sum2);
 }
 
 // Field-level equality via the encoded image: both frames encode to the
@@ -89,12 +74,13 @@ TEST(WireTest, PayloadSizesArePinned) {
   EXPECT_EQ(PayloadSize(FrameType::kUpdate), 40u);
   EXPECT_EQ(PayloadSize(FrameType::kPoll), 32u);
   EXPECT_EQ(PayloadSize(FrameType::kScenarioOp), 32u);
-  EXPECT_EQ(PayloadSize(FrameType::kMetricsReport), 80u);
-  EXPECT_EQ(PayloadSize(FrameType::kEngineReport), 176u);
   EXPECT_EQ(PayloadSize(FrameType::kShutdown), 8u);
   EXPECT_EQ(PayloadSize(FrameType::kResubscribe), 8u);
   EXPECT_EQ(PayloadSize(FrameType::kObsSnapshot), 176u);
   EXPECT_EQ(PayloadSize(FrameType::kInvalid), 0u);
+  // Retired kinds (metrics report, engine report) stay unencodable.
+  EXPECT_EQ(PayloadSize(static_cast<FrameType>(6)), 0u);
+  EXPECT_EQ(PayloadSize(static_cast<FrameType>(8)), 0u);
   EXPECT_EQ(PayloadSize(static_cast<FrameType>(200)), 0u);
   EXPECT_EQ(EncodedSize(FrameType::kUpdate), kHeaderSize + 40u);
 }
@@ -217,12 +203,33 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
   EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
 
-  // Unknown type (offset 3).
-  bad = corrupt_header(3, 99);
-  decoded = Decode(bad.data(), bad.size());
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsInvalidArgument());
-  EXPECT_NE(decoded.status().ToString().find("type"), std::string::npos);
+  // Unknown type (offset 3): the retired metrics-report (6) and
+  // engine-report (8) kinds at their old payload sizes, and a never-used
+  // value, each re-checksummed so only the type byte is wrong.
+  {
+    std::vector<uint8_t> image(buf, buf + encoded);
+    uint16_t stored = 0;
+    std::memcpy(&stored, &image[6], sizeof(stored));
+    ASSERT_EQ(ForgedChecksum(image), stored);  // the forger is faithful
+  }
+  const struct {
+    uint8_t type;
+    uint16_t length;
+  } kUnknownTypes[] = {{6, 80}, {8, 176}, {99, 32}};
+  for (const auto& unknown : kUnknownTypes) {
+    SCOPED_TRACE(static_cast<int>(unknown.type));
+    FrameHeader header;
+    header.type = unknown.type;
+    header.length = unknown.length;
+    std::vector<uint8_t> forged(kHeaderSize + unknown.length, 0x5A);
+    std::memcpy(forged.data(), &header, kHeaderSize);
+    header.checksum = ForgedChecksum(forged);
+    std::memcpy(forged.data(), &header, kHeaderSize);
+    decoded = Decode(forged.data(), forged.size());
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_TRUE(decoded.status().IsInvalidArgument());
+    EXPECT_NE(decoded.status().ToString().find("type"), std::string::npos);
+  }
 
   // Over-length (length field, offset 4-5, larger than any payload):
   // must be rejected from the header alone — a decoder trusting it
