@@ -147,6 +147,50 @@ void BM_SocketSendPoll(benchmark::State& state) {
 }
 BENCHMARK(BM_SocketSendPoll);
 
+// Frames per second against batch size: each round sends `range(0)`
+// frames back to back, then drains them all. Batch 1 is the
+// BM_SocketSendPoll ping-pong; larger batches let one recv(2) fill the
+// rx ring with many frames that Poll then deframes without a syscall.
+// The send side still makes one send(2) per frame.
+void BM_SocketBurst(benchmark::State& state) {
+  net::SocketTransport tx(/*peer_count=*/2, /*self=*/0);
+  net::SocketTransport rx(/*peer_count=*/2, /*self=*/1);
+  if (!rx.Listen().ok() || !tx.ConnectPeer(1, rx.port()).ok()) {
+    state.SkipWithError("loopback connect failed");
+    return;
+  }
+  const int64_t batch = state.range(0);
+  net::wire::Frame out;
+  uint32_t i = 0;
+  for (auto _ : state) {
+    int64_t received = 0;
+    for (int64_t k = 0; k < batch; ++k) {
+      const net::wire::Frame frame = net::wire::Frame::Update(
+          0, 1, 1000 * i, i % 8, static_cast<double>(i), 0.25);
+      Status sent = tx.Send(0, 1, frame);
+      while (sent.IsCapacityExhausted()) {
+        // The pipe is full: drain a frame to make room, then retry.
+        if (rx.Poll(1, &out, nullptr)) ++received;
+        sent = tx.Send(0, 1, frame);
+      }
+      if (!sent.ok()) {
+        state.SkipWithError("send failed");
+        return;
+      }
+      ++i;
+    }
+    while (received < batch) {
+      if (rx.Poll(1, &out, nullptr)) {
+        ++received;
+      } else {
+        benchmark::DoNotOptimize(tx.Pump().ok());
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * batch);
+}
+BENCHMARK(BM_SocketBurst)->Arg(1)->Arg(64)->Arg(1024);
+
 }  // namespace
 }  // namespace d3t
 

@@ -530,9 +530,19 @@ Status SocketTransport::Send(PeerId from, PeerId to,
 // d3t-lint: hot
 bool SocketTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
   if (self != self_) return false;
+  // The rx rings usually hold many frames per recv; deliver those
+  // without a syscall and go to the kernel only once they run dry.
+  if (NextBuffered(out, from)) return true;
   AcceptPending();
   for (PeerId peer = 0; peer < in_.size(); ++peer) {
     FillIn(peer);
+  }
+  return NextBuffered(out, from);
+}
+
+// d3t-lint: hot
+bool SocketTransport::NextBuffered(wire::Frame* out, PeerId* from) {
+  for (PeerId peer = 0; peer < in_.size(); ++peer) {
     InChannel& ch = in_[peer];
     for (;;) {
       size_t frame_size = 0;
@@ -562,7 +572,7 @@ bool SocketTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
         ++per_peer_[peer].decode_errors;
         ++totals_.decode_errors;
         if (recorder_ != nullptr) {
-          recorder_->Record(obs::TraceEventKind::kDecodeError, self);
+          recorder_->Record(obs::TraceEventKind::kDecodeError, self_);
         }
         continue;
       }
@@ -571,7 +581,7 @@ bool SocketTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
       ++totals_.frames_rx;
       totals_.bytes_rx += frame_size;
       if (recorder_ != nullptr) {
-        recorder_->Record(obs::TraceEventKind::kFrameRx, self,
+        recorder_->Record(obs::TraceEventKind::kFrameRx, self_,
                           static_cast<uint64_t>(out->type), peer);
       }
       if (from != nullptr) *from = peer;

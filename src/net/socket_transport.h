@@ -156,6 +156,15 @@ class SocketTransport final : public Transport {
   // Transport interface.
   size_t peer_count() const override { return out_.size(); }
   Status Send(PeerId from, PeerId to, const wire::Frame& frame) override;
+  /// Receives the next frame for this endpoint. Frames already buffered
+  /// come first: Poll deframes from the rx rings and makes no syscall
+  /// while any ring holds a whole frame. Only when none does, it accepts
+  /// pending connections and reads each inbound socket once (one recv
+  /// loop per peer, up to ring capacity), then tries the rings again;
+  /// false means that read, too, completed no frame. Each peer's frames
+  /// arrive in the order it sent them. Across peers, the lowest peer id
+  /// with a whole buffered frame goes first; bytes still in the kernel
+  /// do not compete until every ring has run dry, so no peer starves.
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override { return totals_; }
   const TransportMetrics& peer_metrics(PeerId peer) const override {
@@ -193,6 +202,11 @@ class SocketTransport final : public Transport {
   };
 
   void AcceptPending();
+  /// One deframing pass over the rx rings, lowest peer id first, with
+  /// no syscall: returns the first whole frame, counting resyncs and
+  /// turning a FIN inside a frame into the half-closed error. Both of
+  /// Poll's tries run through it.
+  bool NextBuffered(wire::Frame* out, PeerId* from);
   /// Dials `peer_port`, writes the identifying preamble, and returns the
   /// connected nonblocking fd — the bounded retry+backoff loop shared by
   /// ConnectPeer and FlushOut's reconnect path.

@@ -1,5 +1,6 @@
 #include "net/wire.h"
 
+#include <cstdint>
 #include <cstring>
 
 namespace d3t::net::wire {
@@ -10,15 +11,28 @@ namespace {
 /// seed so the two regions need not be contiguous in memory. Detects
 /// every single-bit flip: a one-bit change shifts a byte by ±2^k with
 /// k <= 7, and no such delta is ≡ 0 (mod 255).
+///
+/// The sums are reduced once per region, not once per byte: the residues
+/// mod 255 are the same either way, so every checksum is unchanged. The
+/// deferral needs the unreduced sums to fit uint32_t. With seed sums at
+/// most 254 and n bytes of at most 255, sum2 peaks at
+/// 254 + 254n + 255n(n+1)/2, which fits for regions up to 5802 bytes.
+constexpr bool FletcherSumsFit(uint64_t n) {
+  return 254 + 254 * n + 255 * n * (n + 1) / 2 <= UINT32_MAX;
+}
+static_assert(FletcherSumsFit(5802) && !FletcherSumsFit(5803));
+static_assert(FletcherSumsFit(kMaxFrameSize),
+              "a frame region would overflow Fletcher16's deferred sums");
+
 // d3t-lint: hot
 uint16_t Fletcher16(const uint8_t* data, size_t size, uint16_t seed) {
   uint32_t sum1 = seed >> 8;
   uint32_t sum2 = seed & 0xFF;
   for (size_t i = 0; i < size; ++i) {
-    sum1 = (sum1 + data[i]) % 255;
-    sum2 = (sum2 + sum1) % 255;
+    sum1 += data[i];
+    sum2 += sum1;
   }
-  return static_cast<uint16_t>((sum1 << 8) | sum2);
+  return static_cast<uint16_t>(((sum1 % 255) << 8) | (sum2 % 255));
 }
 
 /// Checksum of a frame image: header bytes [0, 6) — magic, version,

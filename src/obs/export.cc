@@ -156,23 +156,25 @@ TablePrinter SnapshotTable(const Snapshot& snapshot, const Registry& names) {
 
 TablePrinter NodeSummaryTable(const std::vector<NodeSummaryRow>& rows,
                               const std::vector<std::string>& extra_headers) {
-  std::vector<std::string> headers = {"node",      "msgs",      "loss%",
-                                      "feedKB",    "stalls",    "faultsInj",
-                                      "decodeErr", "reconn"};
+  std::vector<std::string> headers = {
+      "node",   "msgs",      "loss%",     "feedRxKB", "feedTxKB",
+      "stalls", "faultsInj", "decodeErr", "reconn"};
   headers.insert(headers.end(), extra_headers.begin(), extra_headers.end());
   TablePrinter table(std::move(headers));
   for (const NodeSummaryRow& row : rows) {
     static const Snapshot kEmpty{};
     const Snapshot& snap = row.snapshot != nullptr ? *row.snapshot : kEmpty;
+    auto kib = [&snap](const char* counter) {
+      return TablePrinter::Num(
+          static_cast<double>(SnapshotCounter(snap, counter)) / 1024.0, 1);
+    };
     std::vector<std::string> cells = {
         row.label,
         TablePrinter::Int(
             static_cast<int64_t>(SnapshotCounter(snap, "engine.messages"))),
         TablePrinter::Num(SnapshotGauge(snap, "engine.loss_percent"), 3),
-        TablePrinter::Num(
-            static_cast<double>(SnapshotCounter(snap, "feed.bytes_rx")) /
-                1024.0,
-            1),
+        kib("feed.bytes_rx"),
+        kib("feed.bytes_tx"),
         TablePrinter::Int(static_cast<int64_t>(
             SnapshotCounter(snap, "feed.backpressure_stalls"))),
         TablePrinter::Int(static_cast<int64_t>(

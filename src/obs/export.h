@@ -59,9 +59,11 @@ struct NodeSummaryRow {
 };
 
 /// The per-node summary both live_node and distributed_world print:
-/// label, engine messages + loss, feed bytes/stalls/faults/decode
-/// errors/reconnects out of each node's snapshot ("engine.*" and
-/// "feed.*"/"data.*" metrics), plus caller-supplied extra columns.
+/// label, engine messages + loss, feed bytes received and sent (a
+/// node's row fills the first, the publisher's the second), stalls,
+/// faults, decode errors and reconnects out of each node's snapshot
+/// ("engine.*" and "feed.*"/"data.*" metrics), plus caller-supplied
+/// extra columns.
 TablePrinter NodeSummaryTable(const std::vector<NodeSummaryRow>& rows,
                               const std::vector<std::string>& extra_headers);
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,29 @@ TEST(ExportTest, ChromeTraceJsonNamesEveryEventAndProcess) {
   EXPECT_NE(json.find("\"ts\": 1500"), std::string::npos);
 }
 
+// The cell under `header` in the row labelled `label` of a rendered
+// table whose cells hold no spaces; empty when either is missing.
+std::string SummaryCell(const std::string& table, const std::string& label,
+                        const std::string& header) {
+  std::istringstream lines(table);
+  std::string line;
+  std::vector<std::string> headers;
+  while (std::getline(lines, line)) {
+    std::istringstream words(line);
+    std::vector<std::string> cells;
+    for (std::string word; words >> word;) cells.push_back(word);
+    if (headers.empty()) {
+      headers = cells;
+      continue;
+    }
+    if (cells.empty() || cells[0] != label) continue;
+    for (size_t c = 0; c < headers.size() && c < cells.size(); ++c) {
+      if (headers[c] == header) return cells[c];
+    }
+  }
+  return "";
+}
+
 TEST(ExportTest, NodeSummaryTableReadsSnapshotsAndExtras) {
   Registry registry;
   registry.Add(registry.Counter("engine.messages"), 123);
@@ -230,6 +254,23 @@ TEST(ExportTest, NodeSummaryTableReadsSnapshotsAndExtras) {
   EXPECT_NE(table.find("2.0"), std::string::npos);  // feedKB
   EXPECT_NE(table.find("identical"), std::string::npos);
   EXPECT_NE(table.find("yes"), std::string::npos);
+
+  // A publisher only sends on the feed: its row reads the bytes it sent
+  // in feedTxKB, and the receiving node's row reads its bytes in
+  // feedRxKB.
+  Registry publisher;
+  publisher.Add(publisher.Counter("feed.bytes_tx"), 96256);
+  const Snapshot sent = publisher.TakeSnapshot();
+  NodeSummaryRow feed_row;
+  feed_row.label = "feed";
+  feed_row.snapshot = &sent;
+  feed_row.extra = {"-"};
+  const std::string both =
+      NodeSummaryTable({row, feed_row}, {"identical"}).ToString();
+  EXPECT_EQ(SummaryCell(both, "node0", "feedRxKB"), "2.0");
+  EXPECT_EQ(SummaryCell(both, "node0", "feedTxKB"), "0.0");
+  EXPECT_EQ(SummaryCell(both, "feed", "feedRxKB"), "0.0");
+  EXPECT_EQ(SummaryCell(both, "feed", "feedTxKB"), "94.0");
 }
 
 // ---------------------------------------------------------------------------

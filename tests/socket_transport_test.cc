@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -96,6 +97,185 @@ TEST(SocketTransportTest, ConnectSendPollRoundTripsInOrder) {
   EXPECT_EQ(tx.pending_tx_bytes(), 0u);
   EXPECT_TRUE(tx.channel_status().ok());
   EXPECT_TRUE(rx.channel_status().ok());
+}
+
+TEST(SocketTransportTest, LongBurstThroughBackpressureArrivesInOrder) {
+  // Thousands of frames against a one-frame tx ring and a modest kernel
+  // send buffer (the floor would throttle the burst to delayed-ACK
+  // pace): the sender stalls whenever the receiver falls behind, the
+  // receiver drains whole rx rings at a time, and every frame still
+  // arrives once, in order, with exact byte accounting.
+  SocketTransport rx(2, /*self=*/1);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketOptions options;
+  options.ring_bytes = wire::kMaxFrameSize;
+  options.sndbuf_bytes = 1 << 16;
+  SocketTransport tx(2, /*self=*/0, options);
+  ASSERT_TRUE(tx.ConnectPeer(1, rx.port()).ok());
+
+  constexpr uint32_t kFrames = 20000;
+  uint32_t received = 0;
+  bool in_order = true;
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  auto drain = [&] {
+    while (rx.Poll(1, &frame, &from)) {
+      in_order = in_order && from == 0 && frame.u.update.item == received;
+      ++received;
+    }
+  };
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  for (uint32_t i = 0; i < kFrames && MonotonicMillis() < deadline;) {
+    const Status sent = tx.Send(0, 1, TestUpdate(0, 1, i));
+    if (sent.ok()) {
+      ++i;
+      continue;
+    }
+    ASSERT_TRUE(sent.IsCapacityExhausted()) << sent.ToString();
+    drain();
+    (void)rx.WaitIo(10);
+  }
+  ASSERT_EQ(tx.metrics().frames_tx, kFrames);
+  while (received < kFrames && MonotonicMillis() < deadline) {
+    (void)tx.Pump();
+    drain();
+    if (received < kFrames) (void)rx.WaitIo(10);
+  }
+
+  EXPECT_EQ(received, kFrames);
+  EXPECT_TRUE(in_order);
+  EXPECT_GE(tx.metrics().backpressure_stalls, 1u);
+  EXPECT_EQ(rx.metrics().frames_rx, kFrames);
+  EXPECT_EQ(rx.metrics().bytes_rx,
+            uint64_t{kFrames} * wire::EncodedSize(wire::FrameType::kUpdate));
+  EXPECT_EQ(rx.metrics().decode_errors, 0u);
+  EXPECT_FALSE(rx.Poll(1, &frame, &from));
+  EXPECT_TRUE(rx.channel_status().ok());
+}
+
+TEST(SocketTransportTest, InterleavedBurstsFromTwoPeersKeepEachPeersOrder) {
+  SocketTransport rx(3, /*self=*/2);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketTransport tx0(3, /*self=*/0);
+  SocketTransport tx1(3, /*self=*/1);
+  ASSERT_TRUE(tx0.ConnectPeer(2, rx.port()).ok());
+  ASSERT_TRUE(tx1.ConnectPeer(2, rx.port()).ok());
+
+  constexpr uint32_t kBurst = 250;
+  constexpr uint32_t kPerPeer = 20 * kBurst;
+  uint32_t next[2] = {0, 0};
+  bool in_order = true;
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  auto drain = [&] {
+    while (rx.Poll(2, &frame, &from)) {
+      if (from > 1 || frame.u.update.src != from) {
+        in_order = false;
+        continue;
+      }
+      in_order = in_order && frame.u.update.item == next[from];
+      ++next[from];
+    }
+  };
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  uint32_t sent[2] = {0, 0};
+  SocketTransport* senders[2] = {&tx0, &tx1};
+  while ((sent[0] < kPerPeer || sent[1] < kPerPeer) &&
+         MonotonicMillis() < deadline) {
+    // One burst from each peer in turn; a stalled burst resumes on the
+    // peer's next turn.
+    for (PeerId p = 0; p < 2; ++p) {
+      const uint32_t end = std::min(kPerPeer, sent[p] + kBurst);
+      while (sent[p] < end) {
+        const Status s = senders[p]->Send(p, 2, TestUpdate(p, 2, sent[p]));
+        if (!s.ok()) {
+          ASSERT_TRUE(s.IsCapacityExhausted()) << s.ToString();
+          break;
+        }
+        ++sent[p];
+      }
+    }
+    drain();
+  }
+  while ((next[0] < kPerPeer || next[1] < kPerPeer) &&
+         MonotonicMillis() < deadline) {
+    (void)tx0.Pump();
+    (void)tx1.Pump();
+    drain();
+    if (next[0] < kPerPeer || next[1] < kPerPeer) (void)rx.WaitIo(10);
+  }
+
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(next[0], kPerPeer);
+  EXPECT_EQ(next[1], kPerPeer);
+  EXPECT_EQ(rx.peer_metrics(0).frames_rx, kPerPeer);
+  EXPECT_EQ(rx.peer_metrics(1).frames_rx, kPerPeer);
+  EXPECT_EQ(rx.metrics().frames_rx, 2 * kPerPeer);
+  EXPECT_EQ(rx.metrics().decode_errors, 0u);
+  EXPECT_TRUE(rx.channel_status().ok());
+}
+
+TEST(SocketTransportTest, WholeFramesOfABurstPrecedeTheTornTailError) {
+  // More whole frames than one rx ring holds, then half a frame, then
+  // FIN: Poll must hand over every whole frame, in order, before the
+  // torn tail turns into the sticky half-closed error.
+  SocketTransport rx(2, /*self=*/1);
+  ASSERT_TRUE(rx.Listen().ok());
+  const int raw = RawConnect(rx.port(), /*claimed_peer=*/0);
+
+  constexpr uint32_t kFrames = 3000;
+  std::vector<uint8_t> stream;
+  uint8_t buf[wire::kMaxFrameSize];
+  size_t encoded = 0;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    encoded = wire::Encode(TestUpdate(0, 1, i), buf, sizeof(buf));
+    ASSERT_GT(encoded, 0u);
+    stream.insert(stream.end(), buf, buf + encoded);
+  }
+  stream.insert(stream.end(), buf, buf + encoded / 2);
+  ASSERT_GT(stream.size(), SocketOptions{}.ring_bytes);
+
+  uint32_t received = 0;
+  bool delivered_after_error = false;
+  bool in_order = true;
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  auto drain = [&] {
+    while (rx.Poll(1, &frame, &from)) {
+      in_order = in_order && frame.u.update.item == received;
+      delivered_after_error =
+          delivered_after_error || !rx.channel_status().ok();
+      ++received;
+    }
+  };
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  size_t off = 0;
+  while (off < stream.size() && MonotonicMillis() < deadline) {
+    const ssize_t n = send(raw, stream.data() + off, stream.size() - off,
+                           MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      off += static_cast<size_t>(n);
+    } else {
+      drain();  // kernel buffers full: let the receiver make room
+    }
+  }
+  ASSERT_EQ(off, stream.size());
+  close(raw);
+  while (rx.channel_status().ok() && MonotonicMillis() < deadline) {
+    drain();
+    if (rx.channel_status().ok()) (void)rx.WaitIo(10);
+  }
+
+  ASSERT_TRUE(rx.channel_status().IsIoError());
+  EXPECT_NE(rx.channel_status().message().find("half-closed mid-frame"),
+            std::string::npos)
+      << rx.channel_status().ToString();
+  EXPECT_EQ(received, kFrames);
+  EXPECT_FALSE(delivered_after_error);
+  EXPECT_TRUE(in_order);
+  EXPECT_EQ(rx.metrics().frames_rx, kFrames);
+  EXPECT_EQ(rx.metrics().decode_errors, 1u);
+  EXPECT_FALSE(rx.Poll(1, &frame, &from));
 }
 
 TEST(SocketTransportTest, SendValidatesSelfAndConnection) {

@@ -55,6 +55,13 @@ uint16_t ForgedChecksum(const std::vector<uint8_t>& image) {
   return static_cast<uint16_t>((sum1 << 8) | sum2);
 }
 
+// The checksum field (header bytes 6-7) of an encoded frame.
+uint16_t StoredChecksum(const uint8_t* frame) {
+  uint16_t stored = 0;
+  std::memcpy(&stored, frame + 6, sizeof(stored));
+  return stored;
+}
+
 // Field-level equality via the encoded image: both frames encode to the
 // same bytes iff header + full payload match.
 void ExpectSameFrame(const Frame& a, const Frame& b) {
@@ -136,6 +143,40 @@ TEST(WireTest, EncodeRefusesShortBuffersAndUnknownTypes) {
   Frame invalid;
   invalid.type = FrameType::kInvalid;
   EXPECT_EQ(Encode(invalid, buf, sizeof(buf)), 0u);
+}
+
+TEST(WireTest, ChecksumMatchesThePerByteReferenceForEveryKind) {
+  // Encode's Fletcher-16 reduces its sums once per region; the forger
+  // above reduces after every byte. Both must land on the same residues
+  // for every kind and any content, so no wire byte moves.
+  Rng rng(0xF1E7C4E5);
+  for (int round = 0; round < 200; ++round) {
+    for (const Frame& frame : RandomFrames(rng)) {
+      SCOPED_TRACE(FrameTypeName(frame.type));
+      uint8_t buf[kMaxFrameSize];
+      const size_t encoded = Encode(frame, buf, sizeof(buf));
+      ASSERT_GT(encoded, 0u);
+      EXPECT_EQ(StoredChecksum(buf),
+                ForgedChecksum(std::vector<uint8_t>(buf, buf + encoded)))
+          << "round=" << round;
+    }
+  }
+}
+
+TEST(WireTest, ChecksumOfAMaxSizeAllOnesFrameMatchesTheReference) {
+  // The largest payload with every byte 0xFF drives the unreduced sums
+  // as high as any frame can.
+  ObsSnapshotPayload ones;
+  std::memset(&ones, 0xFF, sizeof(ones));
+  const Frame frame = Frame::ObsSnapshot(ones);
+  uint8_t buf[kMaxFrameSize];
+  const size_t encoded = Encode(frame, buf, sizeof(buf));
+  ASSERT_EQ(encoded, kMaxFrameSize);
+  EXPECT_EQ(StoredChecksum(buf),
+            ForgedChecksum(std::vector<uint8_t>(buf, buf + encoded)));
+  Result<Frame> decoded = Decode(buf, encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameFrame(frame, *decoded);
 }
 
 TEST(WireTest, TruncationAtEveryLengthFails) {
