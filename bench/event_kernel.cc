@@ -1,9 +1,9 @@
-// Event-kernel v2 microbenchmarks: the typed POD event queue against
-// closure scheduling, and batched (coalesced same-arrival) delivery
-// dispatch against the one-event-per-message baseline on an identical
-// engine workload. Results are byte-identical across dispatch modes by
-// construction (see DeterminismTest.BatchedDispatchIsByteIdenticalTo-
-// PerMessageDispatch); these benchmarks measure only the kernel cost.
+// Event-kernel microbenchmarks: raw typed POD event queue dispatch, and
+// batched (coalesced same-arrival) delivery dispatch against the
+// one-event-per-message baseline on an identical engine workload.
+// Results are byte-identical across dispatch modes by construction (see
+// DeterminismTest.BatchedDispatchIsByteIdenticalToPerMessageDispatch);
+// these benchmarks measure only the kernel cost.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +21,7 @@ namespace d3t {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Raw queue: POD events vs type-erased closures
+// Raw queue: POD event schedule + dispatch
 
 /// Minimal handler: typed dispatch costs one virtual call and a switch.
 class CountingHandler : public sim::EventHandler {
@@ -46,31 +46,13 @@ void BM_EventQueuePodDispatch(benchmark::State& state) {
           static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
           sim::Event::Delivery(static_cast<uint32_t>(i), i));
     }
-    while (!queue.empty()) queue.RunNext(&handler);
+    while (!queue.empty()) queue.RunNext(handler);
   }
   benchmark::DoNotOptimize(handler.sum());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_EventQueuePodDispatch)->Arg(1024)->Arg(16384);
-
-void BM_EventQueueClosureDispatch(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  uint64_t sum = 0;
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     [&sum, i](sim::SimTime) { sum += i; });
-    }
-    while (!queue.empty()) queue.RunNext();
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueueClosureDispatch)->Arg(1024)->Arg(16384);
 
 // ---------------------------------------------------------------------------
 // Engine: batched vs per-message delivery dispatch

@@ -115,22 +115,6 @@ class HashMapDistributedDisseminator : public core::Disseminator {
   uint64_t next_event_id_ = 0;
 };
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     [](sim::SimTime) {});
-    }
-    while (!queue.empty()) queue.RunNext();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
-
 void BM_ForwardingPredicate(benchmark::State& state) {
   Rng rng(2);
   std::vector<double> values(4096);

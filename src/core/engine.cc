@@ -160,8 +160,7 @@ Result<EngineMetrics> Engine::Run() {
   source_values_ = initial_values;
   metrics_ = EngineMetrics{};
   metrics_.horizon = horizon;
-  simulator_ = sim::Simulator{};
-  simulator_.set_handler(this);
+  simulator_ = sim::Simulator{*this};
   // Observability is attach-only: the recorder stamps logical points at
   // sim time and the registry receives final metrics after aggregation,
   // so neither can perturb EngineMetrics or the event order.

@@ -340,7 +340,7 @@ class Engine final : public sim::EventHandler {
   Disseminator& disseminator_;
   EngineOptions options_;
 
-  sim::Simulator simulator_;
+  sim::Simulator simulator_{*this};
   std::vector<NodeState> nodes_;
   /// In-flight delivery batches, indexed by pool slot (see
   /// ScheduleDelivery); grows to the maximum concurrent batch count.

@@ -50,8 +50,7 @@ Result<PullMetrics> PullEngine::Run() {
   metrics_.horizon = horizon;
   source_busy_until_ = 0;
   source_busy_total_ = 0;
-  simulator_ = sim::Simulator{};
-  simulator_.set_handler(this);
+  simulator_ = sim::Simulator{*this};
 
   // One poll loop and one timeline-bound lazy fidelity tracker per
   // (repository, item); the source process needs no events of its own.

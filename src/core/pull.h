@@ -193,7 +193,7 @@ class PullEngine final : public sim::EventHandler {
   const std::vector<trace::Trace>& traces_;
   PullOptions options_;
 
-  sim::Simulator simulator_;
+  sim::Simulator simulator_{*this};
   std::vector<PollState> states_;
   std::vector<FidelityTracker> trackers_;
   /// Per-item compacted source timelines the lazy trackers bind to:

@@ -1,7 +1,10 @@
 // Property-style invariants of the dissemination engine, swept over
-// policies, degrees, delays and seeds with parameterized gtest.
+// policies, degrees, delays and seeds. Each property is registered only
+// on the policies it holds for, so every case runs and none is skipped.
 
+#include <initializer_list>
 #include <memory>
+#include <string>
 #include <tuple>
 
 #include "core/engine.h"
@@ -21,45 +24,45 @@ struct Sweep {
   sim::SimTime comp;
 };
 
-class EnginePropertyTest
-    : public testing::TestWithParam<std::tuple<Sweep, const char*>> {
- protected:
-  struct Built {
-    Overlay overlay{1, 0};
-    net::OverlayDelayModel delays = net::OverlayDelayModel::Uniform(1, 0);
-    std::vector<trace::Trace> traces;
-  };
-
-  static Built Build(const Sweep& sweep) {
-    Built built;
-    Rng rng(sweep.seed);
-    InterestOptions workload;
-    workload.repository_count = sweep.repos;
-    workload.item_count = sweep.items;
-    auto interests = GenerateInterests(workload, rng);
-    built.delays =
-        net::OverlayDelayModel::Uniform(sweep.repos + 1, sweep.comm);
-    LelaOptions options;
-    options.coop_degree = sweep.degree;
-    Result<LelaResult> result =
-        BuildOverlay(built.delays, interests, sweep.items, options, rng);
-    EXPECT_TRUE(result.ok());
-    built.overlay = std::move(result->overlay);
-    for (size_t i = 0; i < sweep.items; ++i) {
-      trace::SyntheticTraceOptions trace_options;
-      trace_options.tick_count = 250;
-      trace_options.min_price = 15.0 + static_cast<double>(i);
-      trace_options.max_price = 16.0 + static_cast<double>(i);
-      built.traces.push_back(
-          std::move(trace::GenerateSyntheticTrace(trace_options, rng))
-              .value());
-    }
-    return built;
-  }
+const Sweep kSweeps[] = {
+    {101, 12, 4, 2, sim::Millis(20), sim::Millis(5)},
+    {102, 25, 6, 4, sim::Millis(40), sim::Millis(12)},
+    {103, 8, 3, 1, sim::Millis(10), sim::Millis(2)},
+    {104, 30, 5, 30, sim::Millis(15), sim::Millis(8)},
 };
 
-TEST_P(EnginePropertyTest, StructuralInvariantsHold) {
-  const auto& [sweep, policy_name] = GetParam();
+struct Built {
+  Overlay overlay{1, 0};
+  net::OverlayDelayModel delays = net::OverlayDelayModel::Uniform(1, 0);
+  std::vector<trace::Trace> traces;
+};
+
+Built Build(const Sweep& sweep) {
+  Built built;
+  Rng rng(sweep.seed);
+  InterestOptions workload;
+  workload.repository_count = sweep.repos;
+  workload.item_count = sweep.items;
+  auto interests = GenerateInterests(workload, rng);
+  built.delays = net::OverlayDelayModel::Uniform(sweep.repos + 1, sweep.comm);
+  LelaOptions options;
+  options.coop_degree = sweep.degree;
+  Result<LelaResult> result =
+      BuildOverlay(built.delays, interests, sweep.items, options, rng);
+  EXPECT_TRUE(result.ok());
+  built.overlay = std::move(result->overlay);
+  for (size_t i = 0; i < sweep.items; ++i) {
+    trace::SyntheticTraceOptions trace_options;
+    trace_options.tick_count = 250;
+    trace_options.min_price = 15.0 + static_cast<double>(i);
+    trace_options.max_price = 16.0 + static_cast<double>(i);
+    built.traces.push_back(
+        std::move(trace::GenerateSyntheticTrace(trace_options, rng)).value());
+  }
+  return built;
+}
+
+void StructuralInvariantsHold(const Sweep& sweep, const char* policy_name) {
   Built built = Build(sweep);
   std::unique_ptr<Disseminator> policy = MakeDisseminator(policy_name);
   ASSERT_NE(policy, nullptr);
@@ -90,12 +93,8 @@ TEST_P(EnginePropertyTest, StructuralInvariantsHold) {
   }
 }
 
-TEST_P(EnginePropertyTest, ExactPoliciesArePerfectWithoutDelays) {
-  const auto& [sweep, policy_name] = GetParam();
-  if (std::string(policy_name) != "distributed" &&
-      std::string(policy_name) != "centralized") {
-    GTEST_SKIP() << "only the exact policies guarantee 100% fidelity";
-  }
+void ExactPoliciesArePerfectWithoutDelays(const Sweep& sweep,
+                                          const char* policy_name) {
   Sweep zero = sweep;
   zero.comm = 0;
   zero.comp = 0;
@@ -110,16 +109,8 @@ TEST_P(EnginePropertyTest, ExactPoliciesArePerfectWithoutDelays) {
   EXPECT_DOUBLE_EQ(result->loss_percent, 0.0);
 }
 
-TEST_P(EnginePropertyTest, MoreDelayNeverGainsFidelity) {
-  const auto& [sweep, policy_name] = GetParam();
-  const std::string policy_str(policy_name);
-  if (policy_str == "temporal" || policy_str == "eq3-only") {
-    // Both policies' outcomes depend on *which* updates reach a node
-    // (rate-limit windows / missed-update state), so delay shifts can
-    // accidentally improve their fidelity; monotonicity only holds for
-    // the policies that forward every needed update.
-    GTEST_SKIP();
-  }
+void MoreDelayNeverGainsFidelity(const Sweep& sweep,
+                                 const char* policy_name) {
   Built slow = Build(sweep);
   Sweep fast_sweep = sweep;
   fast_sweep.comm = 0;
@@ -140,28 +131,64 @@ TEST_P(EnginePropertyTest, MoreDelayNeverGainsFidelity) {
   EXPECT_GE(slow_result->loss_percent + 0.75, fast_result->loss_percent);
 }
 
-std::string SweepName(
-    const testing::TestParamInfo<EnginePropertyTest::ParamType>& info) {
-  const Sweep& sweep = std::get<0>(info.param);
-  std::string policy = std::get<1>(info.param);
-  for (auto& ch : policy) {
-    if (ch == '-') ch = '_';
+/// One (property, sweep, policy) case.
+class EnginePropertyTest : public testing::Test {
+ public:
+  using Check = void (*)(const Sweep&, const char* policy_name);
+
+  EnginePropertyTest(Check check, const Sweep& sweep, const char* policy)
+      : check_(check), sweep_(sweep), policy_(policy) {}
+
+  void TestBody() override { check_(sweep_, policy_); }
+
+ private:
+  Check check_;
+  Sweep sweep_;
+  const char* policy_;
+};
+
+/// Registers `check` over every sweep for each policy in `policies` only,
+/// named "Sweeps/EnginePropertyTest.<property>/<policy>_s<seed>_r<repos>_
+/// d<degree>" — the names a value-parameterized instantiation gives.
+void RegisterProperty(const char* property, EnginePropertyTest::Check check,
+                      std::initializer_list<const char*> policies) {
+  for (const Sweep& sweep : kSweeps) {
+    for (const char* policy : policies) {
+      std::string case_name = policy;
+      for (auto& ch : case_name) {
+        if (ch == '-') ch = '_';
+      }
+      const std::string name =
+          std::string(property) + "/" + case_name + "_s" +
+          std::to_string(sweep.seed) + "_r" + std::to_string(sweep.repos) +
+          "_d" + std::to_string(sweep.degree);
+      testing::RegisterTest(
+          "Sweeps/EnginePropertyTest", name.c_str(), nullptr,
+          testing::PrintToString(std::make_tuple(sweep, policy)).c_str(),
+          __FILE__, __LINE__,
+          [=]() -> testing::Test* {
+            return new EnginePropertyTest(check, sweep, policy);
+          });
+    }
   }
-  return policy + "_s" + std::to_string(sweep.seed) + "_r" +
-         std::to_string(sweep.repos) + "_d" + std::to_string(sweep.degree);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweeps, EnginePropertyTest,
-    testing::Combine(
-        testing::Values(
-            Sweep{101, 12, 4, 2, sim::Millis(20), sim::Millis(5)},
-            Sweep{102, 25, 6, 4, sim::Millis(40), sim::Millis(12)},
-            Sweep{103, 8, 3, 1, sim::Millis(10), sim::Millis(2)},
-            Sweep{104, 30, 5, 30, sim::Millis(15), sim::Millis(8)}),
-        testing::Values("distributed", "centralized", "eq3-only",
-                        "all-updates", "temporal")),
-    SweepName);
+const bool kPropertiesRegistered = [] {
+  RegisterProperty("StructuralInvariantsHold", StructuralInvariantsHold,
+                   {"distributed", "centralized", "eq3-only", "all-updates",
+                    "temporal"});
+  // Only the exact policies guarantee 100% fidelity.
+  RegisterProperty("ExactPoliciesArePerfectWithoutDelays",
+                   ExactPoliciesArePerfectWithoutDelays,
+                   {"distributed", "centralized"});
+  // Not temporal or eq3-only: their outcomes depend on *which* updates
+  // reach a node (rate-limit windows / missed-update state), so delay
+  // shifts can accidentally improve their fidelity; monotonicity only
+  // holds for the policies that forward every needed update.
+  RegisterProperty("MoreDelayNeverGainsFidelity", MoreDelayNeverGainsFidelity,
+                   {"distributed", "centralized", "all-updates"});
+  return true;
+}();
 
 // ---------------------------------------------------------------------------
 // Cross-policy agreement: under zero delays the distributed and

@@ -128,6 +128,9 @@ ENTROPY_ALLOWED_SEGMENTS = {"bench"}
 # cannot be silently retired.
 REQUIRED_POD_EVENT_STRUCTS = (
     ("sim/event_queue.h", "Event"),
+    # The queue's inline heap entry: a closure or a heap-owning member
+    # in it would put an allocation back on every Schedule.
+    ("sim/event_queue.h", "Entry"),
     ("core/scenario.h", "ScenarioOp"),
     # The flight-recorder event and the metrics snapshot are memcpy'd
     # into kObsSnapshot wire frames; both ends pin their layout.
