@@ -1,12 +1,14 @@
 #ifndef D3T_BENCH_BENCH_UTIL_H_
 #define D3T_BENCH_BENCH_UTIL_H_
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "common/cli.h"
-#include "exp/experiment.h"
+#include "exp/session.h"
 
 namespace d3t::bench {
 
@@ -24,32 +26,74 @@ inline void AddCommonFlags(CommandLine& cli) {
   cli.AddFlag("help", "false", "print usage");
 }
 
-/// Builds the base experiment config from the parsed flags.
-inline exp::ExperimentConfig ConfigFromFlags(const CommandLine& cli) {
-  exp::ExperimentConfig config;
-  if (cli.GetBool("full")) {
-    config.repositories = 100;
-    config.routers = 600;
-    config.items = 100;
-    config.ticks = 10000;
-  } else {
-    config.repositories = 40;
-    config.routers = 160;
-    config.items = 20;
-    config.ticks = 1200;
-  }
+/// The network the flags describe: CI scale by default, the paper's
+/// base case under --full, and --repositories overriding both (with
+/// four routers per repository).
+inline exp::NetworkConfig NetworkFromFlags(const CommandLine& cli) {
+  exp::NetworkConfig network;
+  network.repositories = cli.GetBool("full") ? 100 : 40;
+  network.routers = cli.GetBool("full") ? 600 : 160;
   if (cli.GetInt("repositories") > 0) {
-    config.repositories = static_cast<size_t>(cli.GetInt("repositories"));
-    config.routers = config.repositories * 4;
+    network.repositories = static_cast<size_t>(cli.GetInt("repositories"));
+    network.routers = network.repositories * 4;
   }
+  return network;
+}
+
+/// The workload the flags describe, scaled like NetworkFromFlags.
+inline exp::WorkloadConfig WorkloadFromFlags(const CommandLine& cli) {
+  exp::WorkloadConfig workload;
+  workload.items = cli.GetBool("full") ? 100 : 20;
+  workload.ticks = cli.GetBool("full") ? 10000 : 1200;
   if (cli.GetInt("items") > 0) {
-    config.items = static_cast<size_t>(cli.GetInt("items"));
+    workload.items = static_cast<size_t>(cli.GetInt("items"));
   }
   if (cli.GetInt("ticks") > 0) {
-    config.ticks = static_cast<size_t>(cli.GetInt("ticks"));
+    workload.ticks = static_cast<size_t>(cli.GetInt("ticks"));
   }
-  config.seed = static_cast<uint64_t>(cli.GetInt("seed"));
-  return config;
+  return workload;
+}
+
+inline uint64_t SeedFromFlags(const CommandLine& cli) {
+  return static_cast<uint64_t>(cli.GetInt("seed"));
+}
+
+/// A builder holding the flags' network, workload and seed. Callers
+/// override world fields (e.g. SetWorkload with another T) before
+/// building.
+inline exp::SessionBuilder BuilderFromFlags(const CommandLine& cli) {
+  exp::SessionBuilder builder;
+  builder.SetNetwork(NetworkFromFlags(cli))
+      .SetWorkload(WorkloadFromFlags(cli))
+      .SetSeed(SeedFromFlags(cli));
+  return builder;
+}
+
+/// Builds the session or exits 1 naming the failure.
+inline exp::SimulationSession BuildOrDie(const exp::SessionBuilder& builder) {
+  Result<exp::SimulationSession> session = builder.Build();
+  if (!session.ok()) {
+    std::fprintf(stderr, "world build failed: %s\n",
+                 session.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(session).value();
+}
+
+/// The flags' session with the stringent fraction T replaced by `t`:
+/// one World per curve of a figure that sweeps T.
+inline exp::SimulationSession SessionForT(const CommandLine& cli, double t) {
+  exp::WorkloadConfig workload = WorkloadFromFlags(cli);
+  workload.stringent_fraction = t;
+  return BuildOrDie(BuilderFromFlags(cli).SetWorkload(workload));
+}
+
+/// The base run: the paper's defaults with the flags' seed, the same
+/// seed that builds the World.
+inline exp::RunSpec SpecFromFlags(const CommandLine& cli) {
+  exp::RunSpec spec;
+  spec.seed = SeedFromFlags(cli);
+  return spec;
 }
 
 /// Parses flags; on --help or a parse error prints usage and exits.
@@ -72,13 +116,21 @@ inline CommandLine ParseFlagsOrDie(int argc, char** argv,
 /// artifact.
 inline void PrintBanner(const std::string& artifact,
                         const std::string& what,
-                        const exp::ExperimentConfig& config) {
+                        const exp::NetworkConfig& network,
+                        const exp::WorkloadConfig& workload, uint64_t seed) {
   std::printf("== %s — %s ==\n", artifact.c_str(), what.c_str());
   std::printf(
       "config: %zu repositories, %zu routers, %zu items, %zu ticks, "
       "seed %llu\n\n",
-      config.repositories, config.routers, config.items, config.ticks,
-      static_cast<unsigned long long>(config.seed));
+      network.repositories, network.routers, workload.items, workload.ticks,
+      static_cast<unsigned long long>(seed));
+}
+
+/// The banner for the world the flags describe.
+inline void PrintBanner(const std::string& artifact,
+                        const std::string& what, const CommandLine& cli) {
+  PrintBanner(artifact, what, NetworkFromFlags(cli), WorkloadFromFlags(cli),
+              SeedFromFlags(cli));
 }
 
 /// Dies with a message if an experiment failed.

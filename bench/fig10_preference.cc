@@ -16,23 +16,15 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
+  bench::PrintBanner("Figure 10", "effect of the preference function", cli);
 
-  bench::PrintBanner("Figure 10", "effect of the preference function", base);
-
-  Result<exp::Workbench> bench = exp::Workbench::Create(base);
-  if (!bench.ok()) {
-    std::fprintf(stderr, "workbench: %s\n",
-                 bench.status().ToString().c_str());
-    return 1;
-  }
+  const exp::SimulationSession session = bench::SessionForT(cli, 0.5);
 
   std::vector<size_t> degrees =
       cli.GetBool("full")
           ? std::vector<size_t>{1, 2, 3, 5, 8, 12, 20, 40, 70, 100}
           : std::vector<size_t>{1, 2, 4, 8, 16,
-                                static_cast<size_t>(base.repositories)};
+                                session.world().network().repositories};
 
   TablePrinter table({"Degree", "P1", "P2", "P1W", "P2W"});
   for (size_t degree : degrees) {
@@ -40,12 +32,12 @@ int Main(int argc, char** argv) {
     for (bool controlled : {false, true}) {
       for (core::PreferenceFunction pref :
            {core::PreferenceFunction::kP1, core::PreferenceFunction::kP2}) {
-        exp::ExperimentConfig config = base;
-        config.coop_degree = degree;
-        config.preference = pref;
-        config.controlled_cooperation = controlled;
+        exp::RunSpec spec = bench::SpecFromFlags(cli);
+        spec.overlay.coop_degree = degree;
+        spec.overlay.preference = pref;
+        spec.overlay.controlled_cooperation = controlled;
         exp::ExperimentResult result =
-            bench::ValueOrDie(bench->Run(config), "fig10 run");
+            bench::ValueOrDie(session.Run(spec), "fig10 run");
         row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
       }
     }

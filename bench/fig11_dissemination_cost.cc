@@ -18,19 +18,13 @@ int Main(int argc, char** argv) {
   bench::AddCommonFlags(cli);
   cli.AddFlag("degree", "5", "degree of cooperation");
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.coop_degree = static_cast<size_t>(cli.GetInt("degree"));
-  base.stringent_fraction = 0.5;
+  exp::RunSpec base = bench::SpecFromFlags(cli);
+  base.overlay.coop_degree = static_cast<size_t>(cli.GetInt("degree"));
 
   bench::PrintBanner("Figure 11",
-                     "centralized vs distributed dissemination cost", base);
+                     "centralized vs distributed dissemination cost", cli);
 
-  Result<exp::Workbench> bench = exp::Workbench::Create(base);
-  if (!bench.ok()) {
-    std::fprintf(stderr, "workbench: %s\n",
-                 bench.status().ToString().c_str());
-    return 1;
-  }
+  const exp::SimulationSession session = bench::SessionForT(cli, 0.5);
 
   TablePrinter table({"Policy", "SourceChecks", "TotalChecks", "Messages",
                       "SourceMsgs", "Loss%"});
@@ -38,10 +32,10 @@ int Main(int argc, char** argv) {
   uint64_t messages[2] = {0, 0};
   int idx = 0;
   for (const char* policy : {"centralized", "distributed"}) {
-    exp::ExperimentConfig config = base;
-    config.policy = policy;
+    exp::RunSpec spec = base;
+    spec.policy.policy = policy;
     exp::ExperimentResult result =
-        bench::ValueOrDie(bench->Run(config), policy);
+        bench::ValueOrDie(session.Run(spec), policy);
     source_checks[idx] = result.metrics.source_checks;
     messages[idx] = result.metrics.messages;
     ++idx;

@@ -17,18 +17,18 @@ int Main(int argc, char** argv) {
   bench::AddCommonFlags(cli);
   cli.AddFlag("policy", "distributed", "dissemination policy");
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.policy = cli.GetString("policy");
+  exp::RunSpec base = bench::SpecFromFlags(cli);
+  base.policy.policy = cli.GetString("policy");
 
   bench::PrintBanner("Figure 3", "loss of fidelity vs degree of cooperation",
-                     base);
+                     cli);
 
   const std::vector<double> t_values = {1.0, 0.9, 0.8, 0.7, 0.5, 0.2, 0.0};
   std::vector<size_t> degrees;
   if (cli.GetBool("full")) {
     degrees = {1, 2, 3, 5, 8, 12, 20, 40, 70, 100};
   } else {
-    degrees = {1, 2, 4, 8, 16, static_cast<size_t>(base.repositories)};
+    degrees = {1, 2, 4, 8, 16, bench::NetworkFromFlags(cli).repositories};
   }
 
   std::vector<std::string> headers = {"Degree"};
@@ -38,29 +38,18 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  // One workbench per T (the workload depends on T); topology and traces
+  // One World per T (the workload depends on T); topology and traces
   // share the same seed so only the tolerances vary.
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
+  std::vector<exp::SimulationSession> sessions;
+  for (double t : t_values) sessions.push_back(bench::SessionForT(cli, t));
 
   for (size_t degree : degrees) {
     std::vector<std::string> row = {TablePrinter::Int(degree)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.coop_degree = degree;
-      config.policy = base.policy;
+    for (const exp::SimulationSession& session : sessions) {
+      exp::RunSpec spec = base;
+      spec.overlay.coop_degree = degree;
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig3 run");
+          bench::ValueOrDie(session.Run(spec), "fig3 run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table.AddRow(std::move(row));
@@ -72,14 +61,14 @@ int Main(int argc, char** argv) {
       "for T=0).\n");
 
   // Report the paper's §6.3.1 structural observations for the extremes.
-  exp::ExperimentConfig chain = benches[0].base_config();
-  chain.coop_degree = 1;
+  exp::RunSpec chain = base;
+  chain.overlay.coop_degree = 1;
   exp::ExperimentResult chain_result =
-      bench::ValueOrDie(benches[0].Run(chain), "chain");
-  exp::ExperimentConfig star = benches[0].base_config();
-  star.coop_degree = base.repositories;
+      bench::ValueOrDie(sessions[0].Run(chain), "chain");
+  exp::RunSpec star = base;
+  star.overlay.coop_degree = sessions[0].world().network().repositories;
   exp::ExperimentResult star_result =
-      bench::ValueOrDie(benches[0].Run(star), "star");
+      bench::ValueOrDie(sessions[0].Run(star), "star");
   std::printf(
       "\nshape at T=100: chain diameter %u (avg depth %.1f), star diameter "
       "%u (avg depth %.1f)\n(paper: diameter 101 for the chain, 2 for "

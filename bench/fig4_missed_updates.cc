@@ -40,12 +40,14 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig banner_config;
-  banner_config.repositories = 2;
-  banner_config.routers = 0;
-  banner_config.items = 1;
-  banner_config.ticks = 10;
-  bench::PrintBanner("Figure 4", "the missed-updates problem", banner_config);
+  exp::NetworkConfig network;
+  network.repositories = 2;
+  network.routers = 0;
+  exp::WorkloadConfig workload;
+  workload.items = 1;
+  workload.ticks = 10;
+  bench::PrintBanner("Figure 4", "the missed-updates problem", network,
+                     workload, exp::RunSpec{}.seed);
 
   core::Overlay overlay = Fig4Overlay();
   std::vector<trace::Trace> traces = {Fig4Trace()};

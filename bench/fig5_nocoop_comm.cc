@@ -16,10 +16,8 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-
   bench::PrintBanner("Figure 5",
-                     "no cooperation, varying communication delays", base);
+                     "no cooperation, varying communication delays", cli);
 
   const std::vector<double> t_values = {1.0, 0.9, 0.8, 0.7, 0.5, 0.2, 0.0};
   const std::vector<double> comm_ms = {0.0, 25.0, 50.0, 75.0, 100.0, 125.0};
@@ -31,27 +29,15 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  // One Workbench (= one World) per T; each comm-delay curve is then a
-  // single RunSweep over the shared substrate.
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
-
+  // One World per T; each comm-delay curve is then a single RunSweep
+  // over the shared substrate.
   std::vector<std::vector<Result<exp::ExperimentResult>>> curves;
-  for (const exp::Workbench& bench : benches) {
-    exp::RunSpec spec = exp::Workbench::SpecFromConfig(bench.base_config());
+  for (double t : t_values) {
+    const exp::SimulationSession session = bench::SessionForT(cli, t);
+    exp::RunSpec spec = bench::SpecFromFlags(cli);
     // No cooperation: the source serves everyone directly.
-    spec.overlay.coop_degree = bench.base_config().repositories;
-    curves.push_back(bench.session().RunSweep(
+    spec.overlay.coop_degree = session.world().network().repositories;
+    curves.push_back(session.RunSweep(
         spec, comm_ms, [](exp::RunSpec& point, double comm) {
           // 0 means "topology native", so encode an explicit zero as -1.
           point.policy.comm_delay_mean_ms = comm == 0.0 ? -1.0 : comm;

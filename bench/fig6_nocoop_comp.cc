@@ -16,10 +16,8 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-
   bench::PrintBanner("Figure 6",
-                     "no cooperation, varying computational delays", base);
+                     "no cooperation, varying computational delays", cli);
 
   const std::vector<double> t_values = {1.0, 0.9, 0.8, 0.7, 0.5, 0.2, 0.0};
   const std::vector<double> comp_ms = {0.0, 5.0, 10.0, 15.0, 20.0, 25.0};
@@ -31,27 +29,18 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
+  std::vector<exp::SimulationSession> sessions;
+  for (double t : t_values) sessions.push_back(bench::SessionForT(cli, t));
 
   for (double comp : comp_ms) {
     std::vector<std::string> row = {TablePrinter::Num(comp, 1)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.coop_degree = config.repositories;  // no cooperation
-      config.comp_delay_ms = comp;
+    for (const exp::SimulationSession& session : sessions) {
+      exp::RunSpec spec = bench::SpecFromFlags(cli);
+      // No cooperation: the source serves everyone directly.
+      spec.overlay.coop_degree = session.world().network().repositories;
+      spec.policy.comp_delay_ms = comp;
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig6 run");
+          bench::ValueOrDie(session.Run(spec), "fig6 run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table.AddRow(std::move(row));

@@ -14,23 +14,6 @@
 namespace d3t {
 namespace {
 
-std::vector<exp::Workbench> MakeBenches(const exp::ExperimentConfig& base,
-                                        const std::vector<double>& t_values) {
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      std::exit(1);
-    }
-    benches.push_back(std::move(bench).value());
-  }
-  return benches;
-}
-
 std::vector<std::string> THeaders(const std::string& first,
                                   const std::vector<double>& t_values) {
   std::vector<std::string> headers = {first};
@@ -45,32 +28,32 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.controlled_cooperation = true;
+  exp::RunSpec base = bench::SpecFromFlags(cli);
+  base.overlay.controlled_cooperation = true;
 
   bench::PrintBanner("Figure 7", "performance with controlled cooperation",
-                     base);
+                     cli);
 
   const std::vector<double> t_values = {1.0, 0.9, 0.8, 0.7, 0.5, 0.2, 0.0};
-  std::vector<exp::Workbench> benches = MakeBenches(base, t_values);
+  std::vector<exp::SimulationSession> sessions;
+  for (double t : t_values) sessions.push_back(bench::SessionForT(cli, t));
+  const size_t repositories = sessions[0].world().network().repositories;
 
   // (a) Offered degree sweep: past the Eq. (2) value the curve is flat.
   std::printf("--- 7(a): base case, sweeping the OFFERED degree ---\n");
   std::vector<size_t> degrees =
       cli.GetBool("full")
           ? std::vector<size_t>{1, 2, 3, 5, 8, 12, 20, 40, 70, 100}
-          : std::vector<size_t>{1, 2, 4, 8, 16,
-                                static_cast<size_t>(base.repositories)};
+          : std::vector<size_t>{1, 2, 4, 8, 16, repositories};
   TablePrinter table_a(THeaders("Offered", t_values));
   size_t effective = 0;
   for (size_t degree : degrees) {
     std::vector<std::string> row = {TablePrinter::Int(degree)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.controlled_cooperation = true;
-      config.coop_degree = degree;
+    for (const exp::SimulationSession& session : sessions) {
+      exp::RunSpec spec = base;
+      spec.overlay.coop_degree = degree;
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig7a run");
+          bench::ValueOrDie(session.Run(spec), "fig7a run");
       effective = result.effective_degree;
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
@@ -87,13 +70,12 @@ int Main(int argc, char** argv) {
   TablePrinter table_b(THeaders("CommDelay(ms)", t_values));
   for (double comm : {0.0, 25.0, 50.0, 75.0, 100.0, 125.0}) {
     std::vector<std::string> row = {TablePrinter::Num(comm, 0)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.controlled_cooperation = true;
-      config.coop_degree = config.repositories;  // offer everything
-      config.comm_delay_mean_ms = comm == 0.0 ? -1.0 : comm;
+    for (const exp::SimulationSession& session : sessions) {
+      exp::RunSpec spec = base;
+      spec.overlay.coop_degree = repositories;  // offer everything
+      spec.policy.comm_delay_mean_ms = comm == 0.0 ? -1.0 : comm;
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig7b run");
+          bench::ValueOrDie(session.Run(spec), "fig7b run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table_b.AddRow(std::move(row));
@@ -106,13 +88,12 @@ int Main(int argc, char** argv) {
   TablePrinter table_c(THeaders("CompDelay(ms)", t_values));
   for (double comp : {0.0, 5.0, 10.0, 15.0, 20.0, 25.0}) {
     std::vector<std::string> row = {TablePrinter::Num(comp, 1)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.controlled_cooperation = true;
-      config.coop_degree = config.repositories;
-      config.comp_delay_ms = comp;
+    for (const exp::SimulationSession& session : sessions) {
+      exp::RunSpec spec = base;
+      spec.overlay.coop_degree = repositories;
+      spec.policy.comp_delay_ms = comp;
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig7c run");
+          bench::ValueOrDie(session.Run(spec), "fig7c run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table_c.AddRow(std::move(row));

@@ -16,43 +16,34 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
+  bench::PrintBanner("Figure 8", "importance of filtering updates", cli);
 
-  bench::PrintBanner("Figure 8", "importance of filtering updates", base);
-
-  exp::ExperimentConfig flood_config = base;
-  flood_config.stringent_fraction = 1.0;  // everything violates => flood
-  exp::ExperimentConfig filtered_config = base;
-  filtered_config.stringent_fraction = 0.0;
-
-  Result<exp::Workbench> flood_bench = exp::Workbench::Create(flood_config);
-  Result<exp::Workbench> filtered_bench =
-      exp::Workbench::Create(filtered_config);
-  if (!flood_bench.ok() || !filtered_bench.ok()) {
-    std::fprintf(stderr, "workbench construction failed\n");
-    return 1;
-  }
+  // T=100%: every update violates some tolerance => flood.
+  const exp::SimulationSession flood_session = bench::SessionForT(cli, 1.0);
+  const exp::SimulationSession filtered_session =
+      bench::SessionForT(cli, 0.0);
 
   std::vector<size_t> degrees =
       cli.GetBool("full")
           ? std::vector<size_t>{1, 2, 3, 5, 8, 12, 20, 40, 70, 100}
-          : std::vector<size_t>{1, 2, 4, 8, 16,
-                                static_cast<size_t>(base.repositories)};
+          : std::vector<size_t>{
+                1, 2, 4, 8, 16,
+                flood_session.world().network().repositories};
 
   TablePrinter table({"Degree", "AllUpdates: loss%", "AllUpdates: msgs",
                       "Filtered: loss%", "Filtered: msgs"});
   for (size_t degree : degrees) {
-    exp::ExperimentConfig flood = flood_config;
-    flood.coop_degree = degree;
-    flood.policy = "all-updates";
+    exp::RunSpec flood = bench::SpecFromFlags(cli);
+    flood.overlay.coop_degree = degree;
+    flood.policy.policy = "all-updates";
     exp::ExperimentResult flood_result =
-        bench::ValueOrDie(flood_bench->Run(flood), "flood run");
+        bench::ValueOrDie(flood_session.Run(flood), "flood run");
 
-    exp::ExperimentConfig filtered = filtered_config;
-    filtered.coop_degree = degree;
-    filtered.policy = "distributed";
+    exp::RunSpec filtered = bench::SpecFromFlags(cli);
+    filtered.overlay.coop_degree = degree;
+    filtered.policy.policy = "distributed";
     exp::ExperimentResult filtered_result =
-        bench::ValueOrDie(filtered_bench->Run(filtered), "filtered run");
+        bench::ValueOrDie(filtered_session.Run(filtered), "filtered run");
 
     table.AddRow({TablePrinter::Int(degree),
                   TablePrinter::Num(flood_result.metrics.loss_percent, 2),

@@ -16,24 +16,16 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
+  bench::PrintBanner("Figure 9", "effect of the P% parent window", cli);
 
-  bench::PrintBanner("Figure 9", "effect of the P% parent window", base);
-
-  Result<exp::Workbench> bench = exp::Workbench::Create(base);
-  if (!bench.ok()) {
-    std::fprintf(stderr, "workbench: %s\n",
-                 bench.status().ToString().c_str());
-    return 1;
-  }
+  const exp::SimulationSession session = bench::SessionForT(cli, 0.5);
 
   const std::vector<double> p_values = {0.01, 0.05, 0.10, 0.25};
   std::vector<size_t> degrees =
       cli.GetBool("full")
           ? std::vector<size_t>{1, 2, 3, 5, 8, 12, 20, 40, 70, 100}
           : std::vector<size_t>{1, 2, 4, 8, 16,
-                                static_cast<size_t>(base.repositories)};
+                                session.world().network().repositories};
 
   std::vector<std::string> headers = {"Degree"};
   for (double p : p_values) {
@@ -50,12 +42,12 @@ int Main(int argc, char** argv) {
     std::vector<std::string> row = {TablePrinter::Int(degree)};
     for (bool controlled : {false, true}) {
       for (double p : p_values) {
-        exp::ExperimentConfig config = base;
-        config.coop_degree = degree;
-        config.p_window = p;
-        config.controlled_cooperation = controlled;
+        exp::RunSpec spec = bench::SpecFromFlags(cli);
+        spec.overlay.coop_degree = degree;
+        spec.overlay.p_window = p;
+        spec.overlay.controlled_cooperation = controlled;
         exp::ExperimentResult result =
-            bench::ValueOrDie(bench->Run(config), "fig9 run");
+            bench::ValueOrDie(session.Run(spec), "fig9 run");
         row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
       }
     }

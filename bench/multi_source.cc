@@ -15,18 +15,19 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
-  base.coop_degree = 5;
+  exp::MultiSourceConfig config;
+  config.network = bench::NetworkFromFlags(cli);
+  config.workload = bench::WorkloadFromFlags(cli);
+  config.workload.stringent_fraction = 0.5;
+  config.run = bench::SpecFromFlags(cli);
+  config.run.overlay.coop_degree = 5;
 
   bench::PrintBanner("Extension (paper §4)",
-                     "multi-source dissemination graphs", base);
+                     "multi-source dissemination graphs", cli);
 
   TablePrinter table({"Sources", "Loss%", "Messages", "HottestSrcChecks"});
   for (size_t sources : {1, 2, 4, 8}) {
-    exp::MultiSourceConfig config;
-    config.base = base;
-    config.source_count = sources;
+    config.network.source_count = sources;
     // Per-source engines are independent; shard them across the worker
     // pool (results are byte-identical to worker_threads = 1).
     config.worker_threads = 0;

@@ -17,29 +17,22 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-
   bench::PrintBanner("Extension (paper §8)",
-                     "cooperative push vs adaptive-TTR pull", base);
+                     "cooperative push vs adaptive-TTR pull", cli);
 
   TablePrinter table({"T%", "Mechanism", "Loss%", "WireMsgs",
                       "SourceLoad"});
   for (double t : {1.0, 0.5, 0.0}) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    config.controlled_cooperation = true;
-    config.coop_degree = config.repositories;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
+    const exp::SimulationSession session = bench::SessionForT(cli, t);
+    const exp::World& world = session.world();
+    exp::RunSpec spec = bench::SpecFromFlags(cli);
+    spec.overlay.controlled_cooperation = true;
+    spec.overlay.coop_degree = world.network().repositories;
 
     // Cooperative push (the paper's architecture). Source load proxy:
     // the share of the horizon the source spends on dependent checks.
     exp::ExperimentResult push =
-        bench::ValueOrDie(bench->Run(config), "push");
+        bench::ValueOrDie(session.Run(spec), "push");
     const double push_load =
         static_cast<double>(push.metrics.source_checks) * 12.5e3 /
         static_cast<double>(push.metrics.horizon);
@@ -53,8 +46,8 @@ int Main(int argc, char** argv) {
     for (bool adaptive : {true, false}) {
       core::PullOptions pull_options;
       pull_options.adaptive = adaptive;
-      core::PullEngine engine(bench->delays(), bench->interests(),
-                              bench->traces(), pull_options);
+      core::PullEngine engine(world.delays(), world.interests(),
+                              world.traces(), pull_options);
       Result<core::PullMetrics> pull = engine.Run();
       if (!pull.ok()) {
         std::fprintf(stderr, "pull: %s\n",

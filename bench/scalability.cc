@@ -59,13 +59,15 @@ int Main(int argc, char** argv) {
               "attach a generated failure-churn scenario to every point "
               "(repair volume and fidelity cost appear in the table)");
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
-  base.controlled_cooperation = true;
-  base.use_floyd_warshall = false;  // streaming Dijkstra rows scale to 10k
+  exp::NetworkConfig network = bench::NetworkFromFlags(cli);
+  network.use_floyd_warshall = false;  // streaming Dijkstra rows scale to 10k
+  exp::WorkloadConfig workload = bench::WorkloadFromFlags(cli);
+  workload.stringent_fraction = 0.5;
+  exp::RunSpec base = bench::SpecFromFlags(cli);
+  base.overlay.controlled_cooperation = true;
 
   bench::PrintBanner("Section 6.3.5", "scalability with repository count",
-                     base);
+                     cli);
 
   std::vector<size_t> repo_counts;
   if (cli.GetInt("repositories") > 0) {
@@ -93,10 +95,8 @@ int Main(int argc, char** argv) {
                                      "PeakRSS_MiB"});
   double first_loss = -1.0, last_loss = 0.0;
   for (size_t repos : repo_counts) {
-    exp::ExperimentConfig config = base;
-    config.repositories = repos;
-    config.routers = repos * 6;  // paper: 700 -> 2100 total nodes
-    config.coop_degree = repos;  // offer everything; Eq. (2) decides
+    network.repositories = repos;
+    network.routers = repos * 6;  // paper: 700 -> 2100 total nodes
 
     // Substrate build (topology -> streamed routing -> compressed delay
     // model, traces, interests, cached change timelines), timed apart
@@ -105,7 +105,7 @@ int Main(int argc, char** argv) {
     // not just the event kernel — i.e. the end-to-end per-run rate a
     // sweep would see.
     exp::SessionBuilder builder;
-    builder.SetNetwork(config).SetWorkload(config).SetSeed(config.seed);
+    builder.SetNetwork(network).SetWorkload(workload).SetSeed(base.seed);
     const auto build_start = std::chrono::steady_clock::now();
     Result<exp::SimulationSession> session = builder.Build();
     if (!session.ok()) {
@@ -115,7 +115,8 @@ int Main(int argc, char** argv) {
     }
     const double build_seconds = SecondsSince(build_start);
 
-    exp::RunSpec spec = exp::Workbench::SpecFromConfig(config);
+    exp::RunSpec spec = base;
+    spec.overlay.coop_degree = repos;  // offer everything; Eq. (2) decides
     if (with_churn) {
       // Scale the churn with the world: ~5% of the repositories bounce
       // once each, outages of 5-15% of the horizon.
@@ -125,7 +126,7 @@ int Main(int argc, char** argv) {
       churn.horizon =
           session->world().traces().front().ticks().back().time;
       churn.max_outage_fraction = 0.15;
-      churn.seed = config.seed;
+      churn.seed = base.seed;
       Result<core::Scenario> scenario = exp::MakeChurnScenario(churn);
       if (!scenario.ok()) {
         std::fprintf(stderr, "churn generation failed: %s\n",

@@ -1,11 +1,12 @@
 // Microbenchmarks for the SimulationSession API:
 //  * BM_SessionSweep vs BM_SweepRebuildBaseline — a 4-point policy sweep
-//    on one shared World vs the legacy per-point RunExperiment rebuild
-//    (both serial, so the gap is pure substrate reuse); BM_SessionSweepPooled
+//    on one shared World vs building a fresh World per point (both
+//    serial, so the gap is pure substrate reuse); BM_SessionSweepPooled
 //    adds the worker pool on top;
-//  * BM_TimelineCachedSweep vs BM_TimelineRebuildSweep — the World-cached
-//    change timelines vs PR 3's per-run BuildChangeTimelines trace pass,
-//    on long mostly-flat traces where the per-run pass is visible;
+//  * BM_TimelineCachedSweep vs BM_TimelineRebuildSweep — engines bound
+//    to the World-cached change timelines vs engines that rebuild them
+//    with a per-run trace pass, on long mostly-flat traces where that
+//    pass is visible;
 //  * BM_MultiSourceSerial vs BM_MultiSourceParallel — the sharded
 //    multi-source run on 1 worker thread vs the worker pool.
 
@@ -16,8 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.h"
-#include "exp/experiment.h"
+#include "common/random.h"
+#include "core/disseminator.h"
+#include "core/engine.h"
+#include "core/lela.h"
 #include "exp/multi_source.h"
 #include "exp/session.h"
 #include "trace/trace.h"
@@ -31,15 +34,35 @@ const std::vector<std::string>& SweepPolicies() {
   return policies;
 }
 
-exp::ExperimentConfig BenchConfig() {
-  exp::ExperimentConfig config;
-  config.repositories = 40;
-  config.routers = 160;
-  config.items = 16;
-  config.ticks = 800;
-  config.coop_degree = 4;
-  config.seed = 42;
-  return config;
+constexpr uint64_t kBenchSeed = 42;
+
+exp::NetworkConfig BenchNetwork() {
+  exp::NetworkConfig network;
+  network.repositories = 40;
+  network.routers = 160;
+  return network;
+}
+
+exp::WorkloadConfig BenchWorkload() {
+  exp::WorkloadConfig workload;
+  workload.items = 16;
+  workload.ticks = 800;
+  return workload;
+}
+
+exp::RunSpec BenchSpec() {
+  exp::RunSpec spec;
+  spec.overlay.coop_degree = 4;
+  spec.seed = kBenchSeed;
+  return spec;
+}
+
+exp::SessionBuilder BenchBuilder() {
+  exp::SessionBuilder builder;
+  builder.SetNetwork(BenchNetwork())
+      .SetWorkload(BenchWorkload())
+      .SetSeed(kBenchSeed);
+  return builder;
 }
 
 /// 4-point policy sweep, one shared World (built once, outside the
@@ -47,21 +70,15 @@ exp::ExperimentConfig BenchConfig() {
 /// isolates pure world reuse against the serial rebuild baseline;
 /// the Pooled variant additionally fans the points across the pool.
 void SweepOnSharedWorld(benchmark::State& state, size_t worker_threads) {
-  const exp::ExperimentConfig config = BenchConfig();
-  exp::SessionBuilder builder;
-  builder.SetNetwork(config)
-      .SetWorkload(config)
-      .SetSeed(config.seed)
-      .SetWorkerThreads(worker_threads);
-  Result<exp::SimulationSession> session = builder.Build();
+  Result<exp::SimulationSession> session =
+      BenchBuilder().SetWorkerThreads(worker_threads).Build();
   if (!session.ok()) {
     state.SkipWithError(session.status().ToString().c_str());
     return;
   }
-  const exp::RunSpec base = exp::Workbench::SpecFromConfig(config);
   for (auto _ : state) {
     auto results = session->RunSweep(
-        base, SweepPolicies(),
+        BenchSpec(), SweepPolicies(),
         [](exp::RunSpec& spec, const std::string& policy) {
           spec.policy.policy = policy;
         });
@@ -88,14 +105,19 @@ void BM_SessionSweepPooled(benchmark::State& state) {
 BENCHMARK(BM_SessionSweepPooled)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// The same 4 points via the legacy path: every RunExperiment call
-/// rebuilds topology, routing, traces and interests from scratch.
+/// The same 4 points, each on a World of its own: every point rebuilds
+/// topology, routing, traces and interests from scratch.
 void BM_SweepRebuildBaseline(benchmark::State& state) {
   for (auto _ : state) {
     for (const std::string& policy : SweepPolicies()) {
-      exp::ExperimentConfig config = BenchConfig();
-      config.policy = policy;
-      Result<exp::ExperimentResult> result = exp::RunExperiment(config);
+      exp::RunSpec spec = BenchSpec();
+      spec.policy.policy = policy;
+      Result<exp::SimulationSession> session = BenchBuilder().Build();
+      if (!session.ok()) {
+        state.SkipWithError(session.status().ToString().c_str());
+        return;
+      }
+      Result<exp::ExperimentResult> result = session->Run(spec);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;
@@ -112,12 +134,12 @@ BENCHMARK(BM_SweepRebuildBaseline)->Unit(benchmark::kMillisecond);
 // World-cached change timelines
 //
 // The lazy fidelity trackers bind to per-item compacted change
-// timelines. PR 3 rebuilt them with a full trace pass per run; the
-// session now builds them once at SessionBuilder::Build and every run
-// borrows a const view (PolicyConfig::use_cached_timelines). The
-// workload below makes the difference visible: long, mostly-flat traces
-// (many value-repeating polls, few genuine changes) make the per-run
-// trace pass the dominant per-point cost of a sweep.
+// timelines. The session builds them once at SessionBuilder::Build and
+// every run borrows a const view; a core::Engine handed no timelines
+// rebuilds them with a full trace pass of its own. The workload below
+// makes the difference visible: long, mostly-flat traces (many
+// value-repeating polls, few genuine changes) make the per-run trace
+// pass the dominant per-point cost.
 
 exp::SimulationSession BuildTimelineSweepSessionOrDie() {
   constexpr size_t kItems = 8;
@@ -157,27 +179,44 @@ exp::SimulationSession BuildTimelineSweepSessionOrDie() {
   return std::move(session).value();
 }
 
+/// Runs one engine per seed's overlay, bound to the World's cached
+/// timelines or (use_cache = false) rebuilding them per run. The
+/// overlays are built once, outside the timed region.
 void TimelineSweep(benchmark::State& state, bool use_cache) {
   static exp::SimulationSession* session =
       new exp::SimulationSession(BuildTimelineSweepSessionOrDie());
-  exp::RunSpec base;
-  base.overlay.coop_degree = 4;
-  base.policy.use_cached_timelines = use_cache;
-  const std::vector<uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+  const exp::World& world = session->world();
+  core::LelaOptions lela;
+  lela.coop_degree = 4;
+  std::vector<core::Overlay> overlays;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng = Rng(seed).Fork(4);
+    Result<core::LelaResult> built =
+        core::BuildOverlay(world.delays(), world.interests(),
+                           world.workload().items, lela, rng);
+    if (!built.ok()) {
+      state.SkipWithError(built.status().ToString().c_str());
+      return;
+    }
+    overlays.push_back(std::move(built->overlay));
+  }
+  const core::ChangeTimelines* timelines =
+      use_cache ? &world.change_timelines() : nullptr;
+  core::DistributedDisseminator policy;
   for (auto _ : state) {
-    auto results = session->RunSweep(
-        base, seeds,
-        [](exp::RunSpec& spec, uint64_t seed) { spec.seed = seed; });
-    for (const auto& result : results) {
-      if (!result.ok()) {
-        state.SkipWithError(result.status().ToString().c_str());
+    for (core::Overlay& overlay : overlays) {
+      core::Engine engine(overlay, world.delays(), world.traces(), policy,
+                          core::EngineOptions{}, timelines);
+      Result<core::EngineMetrics> metrics = engine.Run();
+      if (!metrics.ok()) {
+        state.SkipWithError(metrics.status().ToString().c_str());
         return;
       }
-      benchmark::DoNotOptimize(result->metrics.loss_percent);
+      benchmark::DoNotOptimize(metrics->loss_percent);
     }
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(seeds.size()));
+                          static_cast<int64_t>(overlays.size()));
 }
 
 void BM_TimelineCachedSweep(benchmark::State& state) {
@@ -185,7 +224,7 @@ void BM_TimelineCachedSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_TimelineCachedSweep)->Unit(benchmark::kMillisecond);
 
-/// PR 3 baseline: every run re-traces the library to rebuild its own
+/// Baseline: every engine re-traces the library to rebuild its own
 /// change timelines.
 void BM_TimelineRebuildSweep(benchmark::State& state) {
   TimelineSweep(state, /*use_cache=*/false);
@@ -194,8 +233,10 @@ BENCHMARK(BM_TimelineRebuildSweep)->Unit(benchmark::kMillisecond);
 
 void RunMultiSourceOrSkip(benchmark::State& state, size_t worker_threads) {
   exp::MultiSourceConfig config;
-  config.base = BenchConfig();
-  config.source_count = 4;
+  config.network = BenchNetwork();
+  config.network.source_count = 4;
+  config.workload = BenchWorkload();
+  config.run = BenchSpec();
   config.worker_threads = worker_threads;
   for (auto _ : state) {
     Result<exp::MultiSourceResult> result = exp::RunMultiSource(config);
@@ -206,7 +247,7 @@ void RunMultiSourceOrSkip(benchmark::State& state, size_t worker_threads) {
     benchmark::DoNotOptimize(result->messages);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(config.source_count));
+                          static_cast<int64_t>(config.network.source_count));
 }
 
 void BM_MultiSourceSerial(benchmark::State& state) {

@@ -13,13 +13,14 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig config = bench::ConfigFromFlags(cli);
-  const size_t ticks = cli.GetBool("full") ? 10000 : config.ticks;
+  const size_t ticks =
+      cli.GetBool("full") ? 10000 : bench::WorkloadFromFlags(cli).ticks;
   const size_t count = cli.GetBool("full") ? 100 : 20;
 
-  bench::PrintBanner("Table 1", "characteristics of the traces", config);
+  bench::PrintBanner("Table 1", "characteristics of the traces", cli);
 
-  Rng rng = Rng(config.seed).Fork(2);  // same stream the workbench uses
+  // The same stream SessionBuilder::Build draws the trace library from.
+  Rng rng = Rng(bench::SeedFromFlags(cli)).Fork(2);
   std::vector<trace::Trace> traces =
       trace::BuildTraceLibrary(count, ticks, rng);
 

@@ -84,8 +84,8 @@ int main(int argc, char** argv) {
   }
   const d3t::exp::World& world = session->world();
 
-  d3t::exp::ExperimentConfig run_base;
-  run_base.coop_degree = 4;
+  d3t::exp::RunSpec run_base;
+  run_base.overlay.coop_degree = 4;
   run_base.seed = 88;
   std::vector<d3t::exp::RunSpec> specs =
       d3t::exp::MultiSourceSpecs(run_base, /*source_count=*/2);

@@ -2,7 +2,6 @@
 #define D3T_EXP_CONFIG_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "core/lela.h"
@@ -26,17 +25,6 @@ struct NetworkConfig {
   /// net::TopologyGeneratorOptions for the calibration note.
   double link_delay_min_ms = 1.5;
   double link_delay_mean_ms = 4.0;
-
-  friend bool operator==(const NetworkConfig& a, const NetworkConfig& b) {
-    return a.repositories == b.repositories && a.routers == b.routers &&
-           a.source_count == b.source_count &&
-           a.use_floyd_warshall == b.use_floyd_warshall &&
-           a.link_delay_min_ms == b.link_delay_min_ms &&
-           a.link_delay_mean_ms == b.link_delay_mean_ms;
-  }
-  friend bool operator!=(const NetworkConfig& a, const NetworkConfig& b) {
-    return !(a == b);
-  }
 };
 
 /// Workload knobs: the traces and the repositories' data needs.
@@ -48,15 +36,6 @@ struct WorkloadConfig {
   /// The paper's T: fraction of a repository's items with stringent
   /// tolerances, in [0, 1].
   double stringent_fraction = 0.5;
-
-  friend bool operator==(const WorkloadConfig& a, const WorkloadConfig& b) {
-    return a.items == b.items && a.ticks == b.ticks &&
-           a.item_probability == b.item_probability &&
-           a.stringent_fraction == b.stringent_fraction;
-  }
-  friend bool operator!=(const WorkloadConfig& a, const WorkloadConfig& b) {
-    return !(a == b);
-  }
 };
 
 /// Overlay-construction knobs, applied per run (LeLA rebuilds the d3g
@@ -74,10 +53,13 @@ struct OverlayConfig {
       core::InsertionOrder::kStringentFirst;
 };
 
-/// Dissemination-policy and timing knobs, applied per run.
+/// Dissemination-policy and timing knobs, applied per run. Every
+/// millisecond field must be finite and at most 1e15 ms; comp_delay_ms
+/// and repair_delay_ms must also be >= 0 (SimulationSession::Run
+/// rejects anything else before converting to sim::SimTime).
 struct PolicyConfig {
   /// "distributed", "centralized", "eq3-only", "all-updates" or
-  /// "temporal". Validated before any substrate work; see
+  /// "temporal". Validated before any per-run work; see
   /// exp::ValidatePolicyName.
   std::string policy = "distributed";
   double comp_delay_ms = 12.5;
@@ -100,11 +82,6 @@ struct PolicyConfig {
   /// synthetic delay models; a scenario op landing on the exact
   /// microsecond a job chain ticks shares that caveat).
   bool drain_process_spans = true;
-  /// Bind this run's lazy fidelity trackers to the World's change-
-  /// timeline cache (built once at SessionBuilder::Build) instead of
-  /// re-tracing the library per run. Results are identical either way;
-  /// off exists for the rebuild baseline (bench/session_sweep.cc).
-  bool use_cached_timelines = true;
   /// Serialize every inter-node update through the wire format over an
   /// in-process transport (see core::EngineOptions::wire_transport).
   /// Metrics are byte-identical either way, pinned by DeterminismTest;
@@ -122,19 +99,6 @@ struct PolicyConfig {
   /// the repair policy re-attaches them. 0 repairs at the failure
   /// instant.
   double repair_delay_ms = 0.0;
-};
-
-/// Legacy flat description of one simulation run, defaulted to the
-/// paper's base case (§6.1). Kept as a compatibility shim: it is exactly
-/// the four decomposed configs glued together (field access is
-/// unchanged), and slicing to a base struct extracts the world-building
-/// or per-run part, e.g. `NetworkConfig net = config;`. New code should
-/// prefer SessionBuilder + RunSpec (exp/session.h).
-struct ExperimentConfig : NetworkConfig,
-                          WorkloadConfig,
-                          OverlayConfig,
-                          PolicyConfig {
-  uint64_t seed = 42;
 };
 
 }  // namespace d3t::exp

@@ -1,16 +1,15 @@
 #include "exp/multi_source.h"
 
 #include <algorithm>
+#include <string>
 
 namespace d3t::exp {
 
-std::vector<RunSpec> MultiSourceSpecs(const ExperimentConfig& base,
+std::vector<RunSpec> MultiSourceSpecs(const RunSpec& base,
                                       size_t source_count) {
-  std::vector<RunSpec> specs(source_count);
+  std::vector<RunSpec> specs(source_count, base);
   for (size_t s = 0; s < source_count; ++s) {
     RunSpec& spec = specs[s];
-    spec.overlay = base;
-    spec.policy = base;
     spec.source_index = s;
     // Each shard gets its own stream: deriving every source's overlay
     // randomness from the one base seed would correlate the shards.
@@ -21,29 +20,30 @@ std::vector<RunSpec> MultiSourceSpecs(const ExperimentConfig& base,
 }
 
 Result<MultiSourceResult> RunMultiSource(const MultiSourceConfig& config) {
-  const ExperimentConfig& base = config.base;
-  if (config.source_count == 0) {
-    return Status::InvalidArgument("need at least one source");
-  }
   // Fail fast on a bad policy name — before the World is built.
-  D3T_RETURN_IF_ERROR(ValidatePolicyName(base.policy));
+  D3T_RETURN_IF_ERROR(ValidatePolicyName(config.run.policy.policy));
+  // Every source's spec copies config.run, and the copies may run
+  // concurrently; the obs taps are single-threaded.
+  if (config.run.recorder != nullptr || config.run.registry != nullptr) {
+    return Status::InvalidArgument(
+        "RunMultiSource cannot share one recorder/registry across "
+        "sources; attach one per spec from MultiSourceSpecs instead");
+  }
 
-  NetworkConfig network = base;
-  network.source_count = config.source_count;
   SessionBuilder builder;
-  builder.SetNetwork(network)
-      .SetWorkload(base)
-      .SetSeed(base.seed)
+  builder.SetNetwork(config.network)
+      .SetWorkload(config.workload)
+      .SetSeed(config.run.seed)
       .SetWorkerThreads(config.worker_threads);
   Result<SimulationSession> session = builder.Build();
   if (!session.ok()) return session.status();
 
-  const std::vector<RunSpec> specs =
-      MultiSourceSpecs(base, config.source_count);
+  const size_t sources = config.network.source_count;
+  const std::vector<RunSpec> specs = MultiSourceSpecs(config.run, sources);
   const std::vector<Result<ExperimentResult>> runs = session->RunAll(specs);
 
   MultiSourceResult result;
-  result.per_source.resize(config.source_count);
+  result.per_source.resize(sources);
   double pair_loss_weighted = 0.0;
   uint64_t total_pairs = 0;
   for (size_t s = 0; s < runs.size(); ++s) {

@@ -5,20 +5,24 @@
 #include <vector>
 
 #include "common/result.h"
-#include "exp/experiment.h"
+#include "exp/session.h"
 
 namespace d3t::exp {
 
 /// Multi-source deployment (paper §4: "the extension to deal with
 /// multiple sources is fairly straightforward"). Data items are
-/// partitioned round-robin across `source_count` sources; each source
-/// roots an independent dissemination graph built by LeLA over the same
-/// repositories, and the per-item trees of different sources coexist on
-/// the shared physical network (the peer-to-peer reading of §8: a
-/// repository can serve item x while being served item y).
+/// partitioned round-robin across `network.source_count` sources; each
+/// source roots an independent dissemination graph built by LeLA over
+/// the same repositories, and the per-item trees of different sources
+/// coexist on the shared physical network (the peer-to-peer reading of
+/// §8: a repository can serve item x while being served item y).
 struct MultiSourceConfig {
-  ExperimentConfig base;
-  size_t source_count = 2;
+  /// The shared physical network; `network.source_count` sources.
+  NetworkConfig network;
+  WorkloadConfig workload;
+  /// Template for every source's run (see MultiSourceSpecs). Its seed
+  /// also seeds the World; its recorder and registry must be null.
+  RunSpec run;
   /// Worker threads for the per-source engine runs (the engines are
   /// independent — one World, N shards). 0 = one per hardware thread;
   /// 1 forces the serial reference path. Results are byte-identical
@@ -45,16 +49,17 @@ struct MultiSourceResult {
   std::vector<SourceSlice> per_source;
 };
 
-/// Builds the RunSpecs RunMultiSource executes: one per source, each
-/// rooted at its source with a decorrelated PerSourceSeed stream.
-/// Exposed so callers can tweak specs before running them on a session.
-std::vector<RunSpec> MultiSourceSpecs(const ExperimentConfig& base,
+/// Builds the RunSpecs RunMultiSource executes: one copy of `base` per
+/// source, each rooted at its source with a decorrelated PerSourceSeed
+/// stream. Exposed so callers can tweak specs before running them on a
+/// session.
+std::vector<RunSpec> MultiSourceSpecs(const RunSpec& base,
                                       size_t source_count);
 
 /// Runs the multi-source experiment: one World with
-/// `config.source_count` sources, one trace library, round-robin item
-/// ownership, an independent LeLA overlay per source and one engine run
-/// per source — sharded across the session's worker pool; metrics are
+/// `config.network.source_count` sources, one trace library, round-robin
+/// item ownership, an independent LeLA overlay per source and one engine
+/// run per source — sharded across the session's worker pool; metrics are
 /// aggregated pair-weighted in source order (deterministic regardless of
 /// scheduling).
 Result<MultiSourceResult> RunMultiSource(const MultiSourceConfig& config);

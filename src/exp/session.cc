@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <optional>
@@ -18,6 +19,21 @@ namespace {
 
 std::atomic<uint64_t> g_world_build_count{0};
 
+// Millisecond knobs become sim::Millis(ms), an int64 microsecond count;
+// the double -> int64 cast is undefined for NaN, infinities and
+// anything past SimTime's range. 1e15 ms (~31 700 years) keeps
+// ms * 1000 far inside SimTime.
+constexpr double kMaxMillis = 1e15;
+
+Status ValidateMillis(const char* field, double ms, double min_ms) {
+  if (std::isfinite(ms) && ms >= min_ms && ms <= kMaxMillis) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      std::string(field) + " must be finite and within [" +
+      (min_ms < 0.0 ? "-1e15" : "0") + ", 1e15] ms");
+}
+
 Status ValidateRunSpec(const World& world, const RunSpec& spec) {
   D3T_RETURN_IF_ERROR(ValidatePolicyName(spec.policy.policy));
   if (spec.source_index >= world.source_count()) {
@@ -28,8 +44,15 @@ Status ValidateRunSpec(const World& world, const RunSpec& spec) {
   }
   D3T_RETURN_IF_ERROR(
       core::ParseRepairPolicy(spec.policy.repair_policy).status());
-  if (spec.policy.repair_delay_ms < 0.0) {
-    return Status::InvalidArgument("repair_delay_ms must be >= 0");
+  // Negative comm_delay_mean_ms is meaningful (forces zero delays).
+  D3T_RETURN_IF_ERROR(ValidateMillis(
+      "comm_delay_mean_ms", spec.policy.comm_delay_mean_ms, -kMaxMillis));
+  D3T_RETURN_IF_ERROR(
+      ValidateMillis("comp_delay_ms", spec.policy.comp_delay_ms, 0.0));
+  D3T_RETURN_IF_ERROR(
+      ValidateMillis("repair_delay_ms", spec.policy.repair_delay_ms, 0.0));
+  if (!std::isfinite(spec.policy.tag_check_cost_factor)) {
+    return Status::InvalidArgument("tag_check_cost_factor must be finite");
   }
   // Member 0 is the source; repositories are members 1..N.
   D3T_RETURN_IF_ERROR(spec.scenario.ValidateAgainst(
@@ -120,8 +143,8 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
     }
   }
 
-  // Stream assignment is part of the public contract: reproducing the
-  // historical Workbench streams keeps golden metrics byte-identical.
+  // Stream assignment is part of the public contract: these fixed
+  // streams keep the golden metrics byte-identical.
   Rng master(seed_);
   Rng topo_rng = master.Fork(1);
   Rng trace_rng = master.Fork(2);
@@ -189,8 +212,7 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
 
   // Compacted per-item change timelines are trace-invariant, so one copy
   // built here serves every run of the session (the engines' lazy
-  // trackers bind read-only views; see PolicyConfig::use_cached_
-  // timelines).
+  // trackers bind read-only views).
   world->change_timelines_ = core::BuildChangeTimelines(world->traces_);
 
   if (has_interests_) {
@@ -296,8 +318,6 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   engine_options.repair_delay = sim::Millis(spec.policy.repair_delay_ms);
   engine_options.recorder = spec.recorder;
   engine_options.registry = spec.registry;
-  const core::ChangeTimelines* timelines =
-      spec.policy.use_cached_timelines ? &world.change_timelines() : nullptr;
   const core::Scenario* scenario =
       spec.scenario.empty() ? nullptr : &spec.scenario;
   // Wire mode: a per-run in-process bus whose rings the engine's
@@ -309,7 +329,7 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
     engine_options.wire_transport = &*wire_bus;
   }
   core::Engine engine(built->overlay, delays, world.traces(), *policy,
-                      engine_options, timelines, scenario);
+                      engine_options, &world.change_timelines(), scenario);
   Result<core::EngineMetrics> metrics = engine.Run();
   if (!metrics.ok()) return metrics.status();
   result.metrics = std::move(metrics).value();

@@ -101,9 +101,9 @@ class World {
   }
   const std::vector<trace::Trace>& traces() const { return traces_; }
   /// Per-item compacted change timelines of traces(), built exactly once
-  /// at SessionBuilder::Build. Engines bind their lazy fidelity trackers
-  /// to these views (RunSpecs with use_cached_timelines, the default),
-  /// so a sweep never re-traces the library per run.
+  /// at SessionBuilder::Build. Every run's engine binds its lazy
+  /// fidelity trackers to these views, so a sweep never re-traces the
+  /// library per run.
   const core::ChangeTimelines& change_timelines() const {
     return change_timelines_;
   }

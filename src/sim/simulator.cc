@@ -4,11 +4,6 @@
 
 namespace d3t::sim {
 
-void Simulator::ScheduleAfter(SimTime delay, Event event) {
-  assert(delay >= 0);
-  queue_.Schedule(now_ + delay, event);
-}
-
 void Simulator::ScheduleAt(SimTime when, Event event) {
   assert(when >= now_);
   queue_.Schedule(when, event);

@@ -17,9 +17,6 @@ class Simulator {
 
   SimTime now() const { return now_; }
 
-  /// Schedules a typed event `delay` microseconds from now (delay >= 0).
-  void ScheduleAfter(SimTime delay, Event event);
-
   /// Schedules a typed event at absolute time `when` (>= now()).
   void ScheduleAt(SimTime when, Event event);
 

@@ -20,8 +20,8 @@
 #include "core/lela.h"
 #include "core/pull.h"
 #include "core/scenario.h"
-#include "exp/experiment.h"
 #include "exp/scenario.h"
+#include "exp/session.h"
 #include "net/fault_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -32,25 +32,39 @@
 namespace d3t {
 namespace {
 
-exp::ExperimentConfig ChaosConfig() {
-  exp::ExperimentConfig config;
-  config.repositories = 6;
-  config.routers = 24;
-  config.items = 3;
-  config.ticks = 60;
-  config.coop_degree = 2;
-  config.seed = 41;
-  config.policy = "distributed";
-  return config;
+exp::RunSpec ChaosSpec() {
+  exp::RunSpec spec;
+  spec.overlay.coop_degree = 2;
+  spec.seed = 41;
+  spec.policy.policy = "distributed";
+  return spec;
 }
 
-core::Overlay BuildChaosOverlay(const exp::Workbench& bench,
-                                const exp::ExperimentConfig& config) {
+// The chaos World: 6 repositories on 24 routers, 3 items of 60 ticks,
+// seeded like ChaosSpec().
+exp::SimulationSession BuildChaosSession() {
+  exp::NetworkConfig network;
+  network.repositories = 6;
+  network.routers = 24;
+  exp::WorkloadConfig workload;
+  workload.items = 3;
+  workload.ticks = 60;
+  return std::move(exp::SessionBuilder()
+                       .SetNetwork(network)
+                       .SetWorkload(workload)
+                       .SetSeed(ChaosSpec().seed)
+                       .Build())
+      .value();
+}
+
+core::Overlay BuildChaosOverlay(const exp::World& world,
+                                const exp::RunSpec& spec) {
   core::LelaOptions lela;
-  lela.coop_degree = config.coop_degree;
-  Rng rng = Rng(config.seed).Fork(4);
-  Result<core::LelaResult> built = core::BuildOverlay(
-      bench.delays(), bench.interests(), config.items, lela, rng);
+  lela.coop_degree = spec.overlay.coop_degree;
+  Rng rng = Rng(spec.seed).Fork(4);
+  Result<core::LelaResult> built =
+      core::BuildOverlay(world.delays(), world.interests(),
+                         world.workload().items, lela, rng);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(built).value().overlay;
 }
@@ -122,21 +136,21 @@ std::string DescribeScript(const net::FaultScript& script) {
 // transport with resubscribe recovery on, then serve. Returns "" on a
 // byte-identical outcome, otherwise a description of what broke.
 struct ChaosWorld {
-  explicit ChaosWorld(const exp::ExperimentConfig& config_in)
-      : config(config_in),
-        bench(std::move(exp::Workbench::Create(config_in)).value()),
+  ChaosWorld()
+      : spec(ChaosSpec()),
+        session(BuildChaosSession()),
         scenario(FailureScenario()) {}
 
   core::EngineMetrics DirectPush(core::RepairPolicy policy,
                                  bool with_scenario) const {
-    core::Overlay overlay = BuildChaosOverlay(bench, config);
+    core::Overlay overlay = BuildChaosOverlay(substrate(), spec);
     std::unique_ptr<core::Disseminator> dissem =
-        core::MakeDisseminator(config.policy);
+        core::MakeDisseminator(spec.policy.policy);
     core::EngineOptions options;
     options.repair_policy = policy;
     options.repair_delay = sim::Millis(750);
-    core::Engine engine(overlay, bench.delays(), bench.traces(), *dissem,
-                        options, /*change_timelines=*/nullptr,
+    core::Engine engine(overlay, substrate().delays(), substrate().traces(),
+                        *dissem, options, /*change_timelines=*/nullptr,
                         with_scenario ? &scenario : nullptr);
     Result<core::EngineMetrics> metrics = engine.Run();
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
@@ -145,8 +159,8 @@ struct ChaosWorld {
 
   core::PullMetrics DirectPull() const {
     core::PullOptions options;
-    core::PullEngine engine(bench.delays(), bench.interests(),
-                            bench.traces(), options);
+    core::PullEngine engine(substrate().delays(), substrate().interests(),
+                            substrate().traces(), options);
     Result<core::PullMetrics> metrics = engine.Run();
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     return std::move(metrics).value();
@@ -157,20 +171,20 @@ struct ChaosWorld {
   std::string RunServed(const net::FaultScript& script, uint64_t seed,
                         bool pull, core::RepairPolicy policy,
                         bool with_scenario) {
-    core::Overlay overlay = BuildChaosOverlay(bench, config);
+    core::Overlay overlay = BuildChaosOverlay(substrate(), spec);
     net::InProcTransport inner(2, 32);
     net::FaultInjectingTransport feed(inner, script, seed);
     net::InProcTransport data(overlay.member_count(), 64);
     serve::NodeOptions node_options;
     node_options.engine.repair_policy = policy;
     node_options.engine.repair_delay = sim::Millis(750);
-    node_options.policy = config.policy;
+    node_options.policy = spec.policy.policy;
     node_options.resubscribe = true;
     node_options.feed_publisher = 1;
-    serve::Node node(overlay, bench.delays(), feed, data, node_options);
-    serve::FeedPublisher publisher(bench.traces(),
+    serve::Node node(overlay, substrate().delays(), feed, data, node_options);
+    serve::FeedPublisher publisher(substrate().traces(),
                                    with_scenario ? &scenario : nullptr,
-                                   overlay.member_count(), config.seed, feed,
+                                   overlay.member_count(), spec.seed, feed,
                                    /*self=*/1, {0});
     const Status driven = serve::DriveFeed(publisher, node);
     if (!driven.ok()) return "DriveFeed: " + driven.ToString();
@@ -180,7 +194,7 @@ struct ChaosWorld {
     }
     if (pull) {
       Result<core::PullMetrics> served =
-          node.ServePull(bench.interests(), core::PullOptions{});
+          node.ServePull(substrate().interests(), core::PullOptions{});
       if (!served.ok()) return "ServePull: " + served.status().ToString();
       const std::string diff = DiffPullMetrics(DirectPull(), *served);
       if (!diff.empty()) return "pull metrics diverged: " + diff;
@@ -194,8 +208,10 @@ struct ChaosWorld {
     return "";
   }
 
-  exp::ExperimentConfig config;
-  exp::Workbench bench;
+  const exp::World& substrate() const { return session.world(); }
+
+  exp::RunSpec spec;
+  exp::SimulationSession session;
   core::Scenario scenario;
 };
 
@@ -209,7 +225,7 @@ net::FaultScript MakeScript(std::vector<net::FaultOp> ops) {
 // Under budget: byte-identity survives scripted chaos
 
 TEST(ChaosTest, PushEngineSurvivesMixedFaultsAllRepairPolicies) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // Drops, a duplicate, corruption, reordering and a reset, scattered
   // through the feed. from=1 targets publisher->node traffic; the
   // any-peer ops may also hit resubscribe requests — recovery must
@@ -234,7 +250,7 @@ TEST(ChaosTest, PushEngineSurvivesMixedFaultsAllRepairPolicies) {
 }
 
 TEST(ChaosTest, PullEngineSurvivesMixedFaults) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   const net::FaultScript script = MakeScript(
       {net::FaultOp{2, 0 /*drop*/, 1, net::kAnyPeer, 0},
        net::FaultOp{15, 3 /*delay*/, 1, net::kAnyPeer, 3},
@@ -248,7 +264,7 @@ TEST(ChaosTest, PullEngineSurvivesMixedFaults) {
 }
 
 TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // The node goes dark for 10 sends mid-feed — everything toward it
   // (including retransmissions) vanishes — then the window closes and
   // resubscribe catches the feed back up.
@@ -264,7 +280,7 @@ TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
 // Over budget: precise degradation report, never a hang
 
 TEST(ChaosTest, ForeverWedgeEndsInPreciseWedgeError) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // arg 0 = wedge forever: nothing ever reaches the node again. The
   // drive loop must terminate with an error naming the stuck seq.
   const net::FaultScript script = MakeScript(
@@ -278,9 +294,8 @@ TEST(ChaosTest, ForeverWedgeEndsInPreciseWedgeError) {
 }
 
 TEST(ChaosTest, ResubscribeBudgetExhaustionSurfacesThroughDriveFeed) {
-  const exp::ExperimentConfig config = ChaosConfig();
-  ChaosWorld world(config);
-  core::Overlay overlay = BuildChaosOverlay(world.bench, config);
+  ChaosWorld world;
+  core::Overlay overlay = BuildChaosOverlay(world.substrate(), world.spec);
   net::InProcTransport inner(2, 32);
   // Op 0 drops the hello, opening a gap the moment seq 1 arrives; every
   // later op swallows one node->publisher resubscribe, forever. Each
@@ -298,10 +313,11 @@ TEST(ChaosTest, ResubscribeBudgetExhaustionSurfacesThroughDriveFeed) {
   node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   node_options.max_resubscribes = 4;
-  serve::Node node(overlay, world.bench.delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(world.bench.traces(), nullptr,
-                                 overlay.member_count(), config.seed, feed,
-                                 /*self=*/1, {0});
+  serve::Node node(overlay, world.substrate().delays(), feed, data,
+                   node_options);
+  serve::FeedPublisher publisher(world.substrate().traces(), nullptr,
+                                 overlay.member_count(), world.spec.seed,
+                                 feed, /*self=*/1, {0});
   const Status driven = serve::DriveFeed(publisher, node);
   ASSERT_FALSE(driven.ok());
   EXPECT_TRUE(driven.IsIoError()) << driven.ToString();
@@ -353,7 +369,7 @@ std::vector<net::FaultOp> RandomOps(uint64_t seed) {
 }
 
 TEST(ChaosTest, RandomScriptsStayByteIdenticalWithPrefixShrinking) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   constexpr uint64_t kBaseSeed = 0xC4405u;
   constexpr int kTrials = 12;
   for (int trial = 0; trial < kTrials; ++trial) {

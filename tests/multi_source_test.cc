@@ -2,19 +2,23 @@
 
 #include "gtest/gtest.h"
 #include "net/topology_generator.h"
+#include "obs/recorder.h"
 
 namespace d3t::exp {
 namespace {
 
-ExperimentConfig SmallBase() {
-  ExperimentConfig base;
-  base.repositories = 20;
-  base.routers = 60;
-  base.items = 8;
-  base.ticks = 300;
-  base.coop_degree = 3;
-  base.seed = 77;
-  return base;
+/// 20 repositories on 60 routers, 8 items of 300 ticks, degree 3,
+/// seed 77; `sources` sources.
+MultiSourceConfig SmallConfig(size_t sources) {
+  MultiSourceConfig config;
+  config.network.repositories = 20;
+  config.network.routers = 60;
+  config.network.source_count = sources;
+  config.workload.items = 8;
+  config.workload.ticks = 300;
+  config.run.overlay.coop_degree = 3;
+  config.run.seed = 77;
+  return config;
 }
 
 TEST(MultiSourceTest, GeneratorPlacesAllSources) {
@@ -32,10 +36,7 @@ TEST(MultiSourceTest, GeneratorPlacesAllSources) {
 }
 
 TEST(MultiSourceTest, SingleSourceMatchesStandardPipeline) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 1;
-  Result<MultiSourceResult> result = RunMultiSource(config);
+  Result<MultiSourceResult> result = RunMultiSource(SmallConfig(1));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->messages, 0u);
   EXPECT_EQ(result->per_source.size(), 1u);
@@ -44,10 +45,7 @@ TEST(MultiSourceTest, SingleSourceMatchesStandardPipeline) {
 }
 
 TEST(MultiSourceTest, ItemsPartitionedAcrossSources) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 3;
-  Result<MultiSourceResult> result = RunMultiSource(config);
+  Result<MultiSourceResult> result = RunMultiSource(SmallConfig(3));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->per_source.size(), 3u);
   size_t items = 0;
@@ -61,12 +59,10 @@ TEST(MultiSourceTest, ItemsPartitionedAcrossSources) {
 }
 
 TEST(MultiSourceTest, SpreadingSourcesSpreadsSourceLoad) {
-  MultiSourceConfig single;
-  single.base = SmallBase();
-  single.base.items = 12;
-  single.source_count = 1;
+  MultiSourceConfig single = SmallConfig(1);
+  single.workload.items = 12;
   MultiSourceConfig quad = single;
-  quad.source_count = 4;
+  quad.network.source_count = 4;
   Result<MultiSourceResult> single_result = RunMultiSource(single);
   Result<MultiSourceResult> quad_result = RunMultiSource(quad);
   ASSERT_TRUE(single_result.ok());
@@ -111,7 +107,7 @@ TEST(MultiSourceTest, SourceStreamsAreDecorrelated) {
   }
   EXPECT_TRUE(traces_differ) << "sources' traces must not be clones";
 
-  ExperimentConfig base = SmallBase();
+  const RunSpec base = SmallConfig(2).run;
   std::vector<RunSpec> specs = MultiSourceSpecs(base, 2);
   EXPECT_NE(specs[0].seed, specs[1].seed);
   EXPECT_NE(specs[0].seed, base.seed);
@@ -142,23 +138,22 @@ TEST(MultiSourceTest, SourceStreamsAreDecorrelated) {
 }
 
 TEST(MultiSourceTest, RejectsBadConfigs) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 0;
+  EXPECT_FALSE(RunMultiSource(SmallConfig(0)).ok());
+  MultiSourceConfig config = SmallConfig(1);
+  config.workload.ticks = 1;
   EXPECT_FALSE(RunMultiSource(config).ok());
-  config.source_count = 1;
-  config.base.ticks = 1;
+  config = SmallConfig(2);
+  config.run.policy.policy = "nonsense";
   EXPECT_FALSE(RunMultiSource(config).ok());
-  config = MultiSourceConfig{};
-  config.base = SmallBase();
-  config.base.policy = "nonsense";
-  EXPECT_FALSE(RunMultiSource(config).ok());
+  // One single-threaded recorder cannot serve concurrent source runs.
+  obs::Recorder recorder;
+  config = SmallConfig(2);
+  config.run.recorder = &recorder;
+  EXPECT_TRUE(RunMultiSource(config).status().IsInvalidArgument());
 }
 
 TEST(MultiSourceTest, DeterministicForSeed) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 2;
+  const MultiSourceConfig config = SmallConfig(2);
   Result<MultiSourceResult> a = RunMultiSource(config);
   Result<MultiSourceResult> b = RunMultiSource(config);
   ASSERT_TRUE(a.ok());
@@ -170,10 +165,8 @@ TEST(MultiSourceTest, DeterministicForSeed) {
 TEST(MultiSourceTest, AllPoliciesSupported) {
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
-    MultiSourceConfig config;
-    config.base = SmallBase();
-    config.base.policy = policy;
-    config.source_count = 2;
+    MultiSourceConfig config = SmallConfig(2);
+    config.run.policy.policy = policy;
     EXPECT_TRUE(RunMultiSource(config).ok()) << policy;
   }
 }

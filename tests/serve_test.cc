@@ -15,8 +15,8 @@
 #include "core/disseminator.h"
 #include "core/engine.h"
 #include "core/lela.h"
-#include "exp/experiment.h"
 #include "exp/scenario.h"
+#include "exp/session.h"
 #include "net/fault_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -28,40 +28,53 @@
 namespace d3t {
 namespace {
 
-exp::ExperimentConfig SmallConfig() {
-  exp::ExperimentConfig config;
-  config.repositories = 10;
-  config.routers = 40;
-  config.items = 4;
-  config.ticks = 120;
-  config.coop_degree = 3;
-  config.seed = 77;
-  config.policy = "distributed";
-  return config;
+exp::RunSpec SmallSpec() {
+  exp::RunSpec spec;
+  spec.overlay.coop_degree = 3;
+  spec.seed = 77;
+  spec.policy.policy = "distributed";
+  return spec;
+}
+
+// The fixture World: 10 repositories on 40 routers, 4 items of 120
+// ticks, seeded like SmallSpec().
+Result<exp::SimulationSession> BuildSmallSession() {
+  exp::NetworkConfig network;
+  network.repositories = 10;
+  network.routers = 40;
+  exp::WorkloadConfig workload;
+  workload.items = 4;
+  workload.ticks = 120;
+  return exp::SessionBuilder()
+      .SetNetwork(network)
+      .SetWorkload(workload)
+      .SetSeed(SmallSpec().seed)
+      .Build();
 }
 
 // Builds the same overlay twice (identical RNG stream) so the direct
 // run and the served run each own one — a scenario repairs the overlay
 // in place, so they cannot share.
-core::Overlay BuildFixtureOverlay(const exp::Workbench& bench,
-                                  const exp::ExperimentConfig& config) {
+core::Overlay BuildFixtureOverlay(const exp::World& world,
+                                  const exp::RunSpec& spec) {
   core::LelaOptions lela;
-  lela.coop_degree = config.coop_degree;
-  Rng rng = Rng(config.seed).Fork(4);
-  Result<core::LelaResult> built = core::BuildOverlay(
-      bench.delays(), bench.interests(), config.items, lela, rng);
+  lela.coop_degree = spec.overlay.coop_degree;
+  Rng rng = Rng(spec.seed).Fork(4);
+  Result<core::LelaResult> built =
+      core::BuildOverlay(world.delays(), world.interests(),
+                         world.workload().items, lela, rng);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(built).value().overlay;
 }
 
-core::EngineMetrics RunDirect(const exp::Workbench& bench,
-                              const exp::ExperimentConfig& config,
+core::EngineMetrics RunDirect(const exp::World& world,
+                              const exp::RunSpec& spec,
                               const core::EngineOptions& options,
                               const core::Scenario* scenario) {
-  core::Overlay overlay = BuildFixtureOverlay(bench, config);
+  core::Overlay overlay = BuildFixtureOverlay(world, spec);
   std::unique_ptr<core::Disseminator> policy =
-      core::MakeDisseminator(config.policy);
-  core::Engine engine(overlay, bench.delays(), bench.traces(), *policy,
+      core::MakeDisseminator(spec.policy.policy);
+  core::Engine engine(overlay, world.delays(), world.traces(), *policy,
                       options, /*change_timelines=*/nullptr, scenario);
   Result<core::EngineMetrics> metrics = engine.Run();
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
@@ -96,23 +109,24 @@ void DriveFeedOk(serve::FeedPublisher& publisher, serve::Node& node) {
 }
 
 TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
-  const exp::ExperimentConfig config = SmallConfig();
-  Result<exp::Workbench> bench = exp::Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  const exp::RunSpec spec = SmallSpec();
+  Result<exp::SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const exp::World& world = session->world();
   core::EngineOptions options;
   const core::EngineMetrics direct =
-      RunDirect(*bench, config, options, /*scenario=*/nullptr);
+      RunDirect(world, spec, options, /*scenario=*/nullptr);
 
-  core::Overlay overlay = BuildFixtureOverlay(*bench, config);
+  core::Overlay overlay = BuildFixtureOverlay(world, spec);
   net::InProcTransport feed(/*peer_count=*/2, /*per_peer_capacity=*/32);
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
   node_options.feed_self = 0;
-  node_options.policy = config.policy;
+  node_options.policy = spec.policy.policy;
   node_options.engine = options;
-  serve::Node node(overlay, bench->delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(bench->traces(), /*scenario=*/nullptr,
-                                 overlay.member_count(), config.seed, feed,
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), /*scenario=*/nullptr,
+                                 overlay.member_count(), spec.seed, feed,
                                  /*self=*/1, /*subscribers=*/{0});
   DriveFeedOk(publisher, node);
 
@@ -122,7 +136,7 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
 
   // Feed accounting: one hello + every tick + one shutdown.
   uint64_t total_ticks = 0;
-  for (const trace::Trace& trace : bench->traces()) {
+  for (const trace::Trace& trace : world.traces()) {
     total_ticks += trace.size();
   }
   EXPECT_EQ(report->tick_frames, total_ticks);
@@ -143,16 +157,17 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
 }
 
 TEST(ServeTest, ScenarioOpsTravelTheFeedAndReplayIdentically) {
-  const exp::ExperimentConfig config = SmallConfig();
-  Result<exp::Workbench> bench = exp::Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  const exp::RunSpec spec = SmallSpec();
+  Result<exp::SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const exp::World& world = session->world();
   // Coherency renegotiation needs a (member, item) pair the member has
   // an own interest in; pick the first one the generated world holds.
   core::OverlayIndex cc_member = 0;
   core::ItemId cc_item = 0;
-  for (size_t i = 0; i < bench->interests().size() && cc_member == 0; ++i) {
+  for (size_t i = 0; i < world.interests().size() && cc_member == 0; ++i) {
     if (i + 1 == 3) continue;  // member 3 is down at t=30s
-    for (const auto& [item, c] : bench->interests()[i]) {
+    for (const auto& [item, c] : world.interests()[i]) {
       cc_member = static_cast<core::OverlayIndex>(i + 1);
       cc_item = item;
       break;
@@ -170,17 +185,17 @@ TEST(ServeTest, ScenarioOpsTravelTheFeedAndReplayIdentically) {
   core::EngineOptions options;
   options.repair_delay = sim::Millis(750);
   const core::EngineMetrics direct =
-      RunDirect(*bench, config, options, &*scenario);
+      RunDirect(world, spec, options, &*scenario);
   ASSERT_GT(direct.scenario_ops, 0u);
 
-  core::Overlay overlay = BuildFixtureOverlay(*bench, config);
+  core::Overlay overlay = BuildFixtureOverlay(world, spec);
   net::InProcTransport feed(2, 32);
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
   node_options.engine = options;
-  serve::Node node(overlay, bench->delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(bench->traces(), &*scenario,
-                                 overlay.member_count(), config.seed, feed,
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), &*scenario,
+                                 overlay.member_count(), spec.seed, feed,
                                  /*self=*/1, {0});
   DriveFeedOk(publisher, node);
 
@@ -195,21 +210,22 @@ TEST(ServeTest, StreamFeedWithBackpressureDeliversIdentically) {
   // Same pipeline, but the feed crosses the byte-stream transport with
   // a ring far smaller than the feed — Pump/Poll must interleave under
   // real backpressure, with frame boundaries recovered from headers.
-  const exp::ExperimentConfig config = SmallConfig();
-  Result<exp::Workbench> bench = exp::Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  const exp::RunSpec spec = SmallSpec();
+  Result<exp::SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const exp::World& world = session->world();
   core::EngineOptions options;
   const core::EngineMetrics direct =
-      RunDirect(*bench, config, options, /*scenario=*/nullptr);
+      RunDirect(world, spec, options, /*scenario=*/nullptr);
 
-  core::Overlay overlay = BuildFixtureOverlay(*bench, config);
+  core::Overlay overlay = BuildFixtureOverlay(world, spec);
   net::StreamTransport feed(2, /*per_channel_bytes=*/256);
   ASSERT_TRUE(feed.Connect(/*from=*/1, /*to=*/0).ok());
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
-  serve::Node node(overlay, bench->delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(bench->traces(), nullptr,
-                                 overlay.member_count(), config.seed, feed,
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), nullptr,
+                                 overlay.member_count(), spec.seed, feed,
                                  /*self=*/1, {0});
   DriveFeedOk(publisher, node);
 
@@ -226,13 +242,13 @@ TEST(ServeTest, StreamFeedWithBackpressureDeliversIdentically) {
 // Feed protocol error envelope
 
 struct IngestFixture {
-  explicit IngestFixture(const exp::ExperimentConfig& config,
-                         serve::NodeOptions node_options = {})
-      : bench(std::move(exp::Workbench::Create(config)).value()),
-        overlay(BuildFixtureOverlay(bench, config)),
+  explicit IngestFixture(serve::NodeOptions node_options = {})
+      : session(std::move(BuildSmallSession()).value()),
+        overlay(BuildFixtureOverlay(session.world(), SmallSpec())),
         feed(2, 32),
         data(overlay.member_count(), 64),
-        node(overlay, bench.delays(), feed, data, node_options) {}
+        node(overlay, session.world().delays(), feed, data,
+             node_options) {}
 
   // Feeds one frame (publisher peer 1 -> node peer 0) through PollFeed,
   // stamping the contiguous feed seq a healthy publisher would — these
@@ -260,7 +276,7 @@ struct IngestFixture {
         static_cast<uint32_t>(overlay.item_count()), /*world_seed=*/77);
   }
 
-  exp::Workbench bench;
+  exp::SimulationSession session;
   core::Overlay overlay;
   net::InProcTransport feed;
   net::InProcTransport data;
@@ -269,7 +285,7 @@ struct IngestFixture {
 };
 
 TEST(ServeTest, RejectsTicksBeforeHello) {
-  IngestFixture fx(SmallConfig());
+  IngestFixture fx;
   Result<size_t> polled =
       fx.Feed(net::wire::Frame::SourceTick(0, 0, 0, 1.0));
   ASSERT_FALSE(polled.ok());
@@ -283,14 +299,14 @@ TEST(ServeTest, RejectsTicksBeforeHello) {
 
 TEST(ServeTest, RejectsDuplicateHelloAndWorldMismatch) {
   {
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     Result<size_t> dup = fx.Feed(fx.Hello());
     ASSERT_FALSE(dup.ok());
     EXPECT_TRUE(dup.status().IsFailedPrecondition());
   }
   {
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     net::wire::Frame wrong = fx.Hello();
     wrong.u.hello.member_count += 1;
     Result<size_t> polled = fx.Feed(wrong);
@@ -301,7 +317,7 @@ TEST(ServeTest, RejectsDuplicateHelloAndWorldMismatch) {
 
 TEST(ServeTest, RejectsMalformedTickSequences) {
   {
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     Result<size_t> bad = fx.Feed(net::wire::Frame::SourceTick(
         static_cast<uint32_t>(fx.overlay.item_count()), 0, 0, 1.0));
@@ -310,7 +326,7 @@ TEST(ServeTest, RejectsMalformedTickSequences) {
   }
   {
     // tick_index skips ahead — a dropped frame must not go unnoticed.
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(0, 0, 0, 1.0)).ok());
     Result<size_t> gap =
@@ -320,7 +336,7 @@ TEST(ServeTest, RejectsMalformedTickSequences) {
   }
   {
     // Non-increasing timestamps.
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     ASSERT_TRUE(
         fx.Feed(net::wire::Frame::SourceTick(0, 0, 1000, 1.0)).ok());
@@ -333,7 +349,7 @@ TEST(ServeTest, RejectsMalformedTickSequences) {
 
 TEST(ServeTest, RejectsUnknownScenarioKindsAndForeignFrames) {
   {
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     Result<size_t> bad = fx.Feed(
         net::wire::Frame::ScenarioOp(1000, /*kind=*/99, 1, 0, 0.0));
@@ -342,7 +358,7 @@ TEST(ServeTest, RejectsUnknownScenarioKindsAndForeignFrames) {
   }
   {
     // An update frame belongs on the data transport, never the feed.
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     Result<size_t> foreign =
         fx.Feed(net::wire::Frame::Update(1, 2, 1000, 0, 1.0, 0.0));
@@ -354,7 +370,7 @@ TEST(ServeTest, RejectsUnknownScenarioKindsAndForeignFrames) {
 TEST(ServeTest, RejectsIncompleteFeeds) {
   {
     // Shutdown while an item has no ticks at all.
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(0, 0, 0, 1.0)).ok());
     Result<size_t> early = fx.Feed(net::wire::Frame::Shutdown(0));
@@ -363,7 +379,7 @@ TEST(ServeTest, RejectsIncompleteFeeds) {
   }
   {
     // Serve before the shutdown frame arrived.
-    IngestFixture fx(SmallConfig());
+    IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
     Result<serve::NodeReport> report = fx.node.Serve();
     ASSERT_FALSE(report.ok());
@@ -372,8 +388,7 @@ TEST(ServeTest, RejectsIncompleteFeeds) {
 }
 
 TEST(ServeTest, RejectsFramesAfterShutdown) {
-  const exp::ExperimentConfig config = SmallConfig();
-  IngestFixture fx(config);
+  IngestFixture fx;
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   int64_t at = 0;
   for (uint32_t item = 0; item < fx.overlay.item_count(); ++item) {
@@ -392,7 +407,7 @@ TEST(ServeTest, RejectsFramesAfterShutdown) {
 // Feed sequence layer and reconnect-and-resubscribe recovery
 
 TEST(ServeTest, StrictSeqGapNamesTheMissingRange) {
-  IngestFixture fx(SmallConfig());
+  IngestFixture fx;
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   // Frames 1 and 2 vanished in transit; seq 3 arrives next.
   Result<size_t> gap =
@@ -405,7 +420,7 @@ TEST(ServeTest, StrictSeqGapNamesTheMissingRange) {
 }
 
 TEST(ServeTest, StrictStaleSeqIsAPreciseError) {
-  IngestFixture fx(SmallConfig());
+  IngestFixture fx;
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   Result<size_t> stale = fx.FeedSeq(fx.Hello(), 0);  // duplicated frame
   ASSERT_FALSE(stale.ok());
@@ -417,7 +432,7 @@ TEST(ServeTest, StrictStaleSeqIsAPreciseError) {
 TEST(ServeTest, ShutdownNamesMissingItemRanges) {
   // SmallConfig has 4 items; feed ticks for item 0 only, so the
   // completeness error must name the contiguous hole 1-3.
-  IngestFixture fx(SmallConfig());
+  IngestFixture fx;
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(0, 0, 0, 1.0)).ok());
   Result<size_t> early = fx.Feed(net::wire::Frame::Shutdown(0));
@@ -429,7 +444,7 @@ TEST(ServeTest, ShutdownNamesMissingItemRanges) {
 
 TEST(ServeTest, ShutdownNamesScatteredMissingItems) {
   // Items 0 and 2 fed, 1 and 3 not: singletons, comma-separated.
-  IngestFixture fx(SmallConfig());
+  IngestFixture fx;
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(0, 0, 0, 1.0)).ok());
   ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(2, 0, 1, 1.0)).ok());
@@ -441,14 +456,15 @@ TEST(ServeTest, ShutdownNamesScatteredMissingItems) {
 }
 
 TEST(ServeTest, ResubscribeRecoversDroppedFeedFramesByteIdentically) {
-  const exp::ExperimentConfig config = SmallConfig();
-  Result<exp::Workbench> bench = exp::Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  const exp::RunSpec spec = SmallSpec();
+  Result<exp::SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const exp::World& world = session->world();
   core::EngineOptions options;
   const core::EngineMetrics direct =
-      RunDirect(*bench, config, options, /*scenario=*/nullptr);
+      RunDirect(world, spec, options, /*scenario=*/nullptr);
 
-  core::Overlay overlay = BuildFixtureOverlay(*bench, config);
+  core::Overlay overlay = BuildFixtureOverlay(world, spec);
   net::InProcTransport inner(2, 32);
   // Drop three publisher->node frames at different points of the feed;
   // filter from=1 so the node's own resubscribe requests are untouched.
@@ -463,9 +479,9 @@ TEST(ServeTest, ResubscribeRecoversDroppedFeedFramesByteIdentically) {
   node_options.engine = options;
   node_options.resubscribe = true;
   node_options.feed_publisher = 1;
-  serve::Node node(overlay, bench->delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(bench->traces(), nullptr,
-                                 overlay.member_count(), config.seed, feed,
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), nullptr,
+                                 overlay.member_count(), spec.seed, feed,
                                  /*self=*/1, {0});
   DriveFeedOk(publisher, node);
 
@@ -484,7 +500,7 @@ TEST(ServeTest, ResubscribeBudgetExhaustionIsPrecise) {
   node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   node_options.max_resubscribes = 1;
-  IngestFixture fx(SmallConfig(), node_options);
+  IngestFixture fx(node_options);
   ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
   // A gap spends the single budgeted resubscribe...
   ASSERT_TRUE(

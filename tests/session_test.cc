@@ -1,14 +1,14 @@
 // SimulationSession API: SessionBuilder -> World -> RunSpec. Covers the
-// build-once/run-many contract (World::BuildCount hook), sweep/legacy
-// equivalence, build-time policy validation, workload overrides and the
-// per-source seed plumbing.
+// build-once/run-many contract (World::BuildCount hook), sweep vs
+// fresh-World equivalence, end-to-end run metrics, run-spec validation,
+// workload overrides and the per-source seed plumbing.
 
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "core/disseminator.h"
 #include "core/pull.h"
-#include "exp/experiment.h"
 #include "exp/multi_source.h"
 #include "exp/session.h"
 #include "gtest/gtest.h"
@@ -37,19 +37,6 @@ RunSpec SmallSpec() {
   return spec;
 }
 
-/// The flat-config equivalent of SmallNetwork/SmallWorkload/SmallSpec,
-/// for cross-checking against the legacy RunExperiment path.
-ExperimentConfig SmallConfig() {
-  ExperimentConfig config;
-  config.repositories = 20;
-  config.routers = 60;
-  config.items = 5;
-  config.ticks = 300;
-  config.coop_degree = 3;
-  config.seed = 1234;
-  return config;
-}
-
 Result<SimulationSession> BuildSmallSession(size_t worker_threads = 0) {
   return SessionBuilder()
       .SetNetwork(SmallNetwork())
@@ -57,6 +44,20 @@ Result<SimulationSession> BuildSmallSession(size_t worker_threads = 0) {
       .SetSeed(1234)
       .SetWorkerThreads(worker_threads)
       .Build();
+}
+
+/// Builds a World of its own, seeded with spec.seed, and runs `spec`
+/// on it once.
+Result<ExperimentResult> RunOnFreshWorld(const NetworkConfig& network,
+                                         const WorkloadConfig& workload,
+                                         const RunSpec& spec) {
+  Result<SimulationSession> session = SessionBuilder()
+                                          .SetNetwork(network)
+                                          .SetWorkload(workload)
+                                          .SetSeed(spec.seed)
+                                          .Build();
+  if (!session.ok()) return session.status();
+  return session->Run(spec);
 }
 
 TEST(SessionBuilderTest, BuildsWorldSubstrate) {
@@ -94,9 +95,9 @@ TEST(SessionBuilderTest, RejectsDegenerateInputs) {
                    .ok());
 }
 
-// The acceptance contract of the session redesign: a 4-point policy
-// sweep builds the World exactly once and reproduces the metrics of 4
-// independent RunExperiment calls (which rebuild the World every time).
+// The acceptance contract of the session API: a 4-point policy sweep
+// builds the World exactly once and reproduces the metrics of 4
+// independent runs that each build a World of their own.
 TEST(SessionSweepTest, PolicySweepBuildsWorldOnceAndMatchesLegacyRuns) {
   const std::vector<std::string> policies = {"distributed", "centralized",
                                              "eq3-only", "all-updates"};
@@ -117,9 +118,10 @@ TEST(SessionSweepTest, PolicySweepBuildsWorldOnceAndMatchesLegacyRuns) {
   for (size_t i = 0; i < policies.size(); ++i) {
     SCOPED_TRACE(policies[i]);
     ASSERT_TRUE(sweep[i].ok()) << sweep[i].status().ToString();
-    ExperimentConfig config = SmallConfig();
-    config.policy = policies[i];
-    Result<ExperimentResult> independent = RunExperiment(config);
+    RunSpec spec = SmallSpec();
+    spec.policy.policy = policies[i];
+    Result<ExperimentResult> independent =
+        RunOnFreshWorld(SmallNetwork(), SmallWorkload(), spec);
     ASSERT_TRUE(independent.ok()) << independent.status().ToString();
     EXPECT_EQ(sweep[i]->metrics.messages, independent->metrics.messages);
     EXPECT_EQ(sweep[i]->metrics.checks, independent->metrics.checks);
@@ -210,14 +212,18 @@ TEST(SessionValidationTest, UnknownPolicyErrorListsKnownNames) {
             std::string::npos);
 }
 
-TEST(SessionValidationTest, WorkbenchCreateRejectsUnknownPolicyAtBuildTime) {
+TEST(SessionValidationTest,
+     RunMultiSourceRejectsUnknownPolicyBeforeBuildingTheWorld) {
   const uint64_t builds_before = World::BuildCount();
-  ExperimentConfig config = SmallConfig();
-  config.policy = "carrier-pigeon";
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_FALSE(bench.ok());
-  EXPECT_TRUE(bench.status().IsInvalidArgument());
-  EXPECT_NE(bench.status().message().find("known policies"),
+  MultiSourceConfig config;
+  config.network = SmallNetwork();
+  config.workload = SmallWorkload();
+  config.run = SmallSpec();
+  config.run.policy.policy = "carrier-pigeon";
+  Result<MultiSourceResult> result = RunMultiSource(config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument());
+  EXPECT_NE(result.status().message().find("known policies"),
             std::string::npos);
   EXPECT_EQ(World::BuildCount(), builds_before)
       << "a bad policy must fail before the World is built";
@@ -242,6 +248,48 @@ TEST(SessionValidationTest, RejectsOutOfRangeSourceIndex) {
   RunSpec spec = SmallSpec();
   spec.source_index = 1;  // single-source world
   EXPECT_TRUE(session->Run(spec).status().IsInvalidArgument());
+}
+
+TEST(SessionValidationTest, RejectsNonFiniteOrOutOfRangeTimingFields) {
+  // Millisecond fields become int64 microseconds; a NaN, an infinity or
+  // a value past SimTime's range must be rejected by name, never cast.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* field;
+    double PolicyConfig::*member;
+    double value;
+  };
+  const std::vector<Case> cases = {
+      {"comm_delay_mean_ms", &PolicyConfig::comm_delay_mean_ms, nan},
+      {"comm_delay_mean_ms", &PolicyConfig::comm_delay_mean_ms, 1e300},
+      {"comm_delay_mean_ms", &PolicyConfig::comm_delay_mean_ms, -inf},
+      {"comp_delay_ms", &PolicyConfig::comp_delay_ms, nan},
+      {"comp_delay_ms", &PolicyConfig::comp_delay_ms, 1e300},
+      {"comp_delay_ms", &PolicyConfig::comp_delay_ms, -1.0},
+      {"repair_delay_ms", &PolicyConfig::repair_delay_ms, nan},
+      {"repair_delay_ms", &PolicyConfig::repair_delay_ms, inf},
+      {"repair_delay_ms", &PolicyConfig::repair_delay_ms, -1.0},
+      {"tag_check_cost_factor", &PolicyConfig::tag_check_cost_factor, nan},
+      {"tag_check_cost_factor", &PolicyConfig::tag_check_cost_factor, inf},
+  };
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i) + ": " + cases[i].field);
+    RunSpec spec = SmallSpec();
+    spec.policy.*cases[i].member = cases[i].value;
+    const Status status = session->Run(spec).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find(cases[i].field), std::string::npos)
+        << status.ToString();
+  }
+  // The bound leaves every meaningful value alone: negative comm delays
+  // still mean "all-zero delays", and long finite delays still run.
+  RunSpec zero_delays = SmallSpec();
+  zero_delays.policy.comm_delay_mean_ms = -1.0;
+  zero_delays.policy.repair_delay_ms = 1e6;
+  EXPECT_TRUE(session->Run(zero_delays).ok());
 }
 
 TEST(SessionOverrideTest, CustomInterestsAndTracesDriveTheRun) {
@@ -308,7 +356,7 @@ TEST(SeedPlumbingTest, PerSourceSeedsAreDistinctAndDeterministic) {
 }
 
 TEST(SeedPlumbingTest, MultiSourceSpecsCarryExplicitDecorrelatedSeeds) {
-  ExperimentConfig base = SmallConfig();
+  const RunSpec base = SmallSpec();
   std::vector<RunSpec> specs = MultiSourceSpecs(base, 3);
   ASSERT_EQ(specs.size(), 3u);
   for (size_t s = 0; s < specs.size(); ++s) {
@@ -318,6 +366,133 @@ TEST(SeedPlumbingTest, MultiSourceSpecsCarryExplicitDecorrelatedSeeds) {
       EXPECT_NE(specs[s].seed, specs[t].seed);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end runs
+
+TEST(ExperimentTest, EndToEndRunProducesMetrics) {
+  Result<ExperimentResult> result =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), SmallSpec());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->metrics.messages, 0u);
+  EXPECT_GT(result->metrics.source_updates, 0u);
+  EXPECT_GE(result->metrics.loss_percent, 0.0);
+  EXPECT_LE(result->metrics.loss_percent, 100.0);
+  EXPECT_GT(result->shape.diameter, 1u);
+  EXPECT_EQ(result->effective_degree, 3u);
+  EXPECT_GT(result->mean_pair_delay_ms, 0.0);
+  EXPECT_GT(result->mean_pair_hops, 1.0);
+}
+
+TEST(ExperimentTest, DeterministicForSameSeed) {
+  Result<ExperimentResult> a =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), SmallSpec());
+  Result<ExperimentResult> b =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), SmallSpec());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->metrics.messages, b->metrics.messages);
+  EXPECT_DOUBLE_EQ(a->metrics.loss_percent, b->metrics.loss_percent);
+  EXPECT_EQ(a->shape.diameter, b->shape.diameter);
+}
+
+TEST(ExperimentTest, SeedChangesWorkload) {
+  RunSpec spec = SmallSpec();
+  Result<ExperimentResult> a =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), spec);
+  spec.seed = 999;
+  Result<ExperimentResult> b =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), spec);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(a->metrics.messages, b->metrics.messages);
+}
+
+TEST(ExperimentTest, CommDelayScalingHonored) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  RunSpec spec = SmallSpec();
+  spec.policy.comm_delay_mean_ms = 75.0;
+  Result<ExperimentResult> result = session->Run(spec);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->mean_pair_delay_ms, 75.0, 1.0);
+  spec.policy.comm_delay_mean_ms = -1.0;  // force zero delays
+  Result<ExperimentResult> zero = session->Run(spec);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_DOUBLE_EQ(zero->mean_pair_delay_ms, 0.0);
+}
+
+TEST(ExperimentTest, ControlledCooperationCapsDegree) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  RunSpec spec = SmallSpec();
+  spec.overlay.coop_degree = 100;
+  spec.overlay.controlled_cooperation = true;
+  spec.policy.comm_delay_mean_ms = 25.0;
+  spec.policy.comp_delay_ms = 12.5;
+  Result<ExperimentResult> result = session->Run(spec);
+  ASSERT_TRUE(result.ok());
+  // Eq. (2) at the paper's operating point: degree 5, well under the
+  // offered 100.
+  EXPECT_EQ(result->effective_degree, 5u);
+}
+
+TEST(ExperimentTest, DijkstraPathMatchesFloydWarshallMetrics) {
+  NetworkConfig network = SmallNetwork();
+  Result<ExperimentResult> fw =
+      RunOnFreshWorld(network, SmallWorkload(), SmallSpec());
+  network.use_floyd_warshall = false;
+  Result<ExperimentResult> dj =
+      RunOnFreshWorld(network, SmallWorkload(), SmallSpec());
+  ASSERT_TRUE(fw.ok());
+  ASSERT_TRUE(dj.ok());
+  // Identical topology and routing result => identical simulation.
+  EXPECT_EQ(fw->metrics.messages, dj->metrics.messages);
+  EXPECT_DOUBLE_EQ(fw->metrics.loss_percent, dj->metrics.loss_percent);
+  EXPECT_DOUBLE_EQ(fw->mean_pair_delay_ms, dj->mean_pair_delay_ms);
+}
+
+TEST(ExperimentTest, AllPoliciesRunOnSharedWorld) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (const char* policy : {"distributed", "centralized", "eq3-only",
+                             "all-updates", "temporal"}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.policy = policy;
+    Result<ExperimentResult> result = session->Run(spec);
+    EXPECT_TRUE(result.ok()) << policy;
+  }
+}
+
+TEST(ExperimentTest, StringencyMonotonicallyRaisesTraffic) {
+  // Sweeping T upward on a fixed network must not reduce dissemination
+  // traffic: stringent tolerances filter fewer updates.
+  uint64_t previous = 0;
+  for (double t : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    WorkloadConfig workload = SmallWorkload();
+    workload.stringent_fraction = t;
+    Result<ExperimentResult> result =
+        RunOnFreshWorld(SmallNetwork(), workload, SmallSpec());
+    ASSERT_TRUE(result.ok());
+    EXPECT_GE(result->metrics.messages + result->metrics.messages / 5,
+              previous)
+        << "T=" << t;  // 20% slack: interests are resampled per T
+    previous = result->metrics.messages;
+  }
+}
+
+TEST(ExperimentTest, ShapeMetricsConsistent) {
+  const RunSpec spec = SmallSpec();
+  Result<ExperimentResult> result =
+      RunOnFreshWorld(SmallNetwork(), SmallWorkload(), spec);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result->shape.diameter, 2u);
+  EXPECT_GE(result->shape.avg_depth, 1.0);
+  EXPECT_LE(result->shape.avg_depth,
+            static_cast<double>(result->shape.diameter));
+  EXPECT_LE(result->shape.max_dependents, spec.overlay.coop_degree);
+  EXPECT_GT(result->build_info.demand_edges, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,7 +512,8 @@ void ExpectSameEngineMetrics(const core::EngineMetrics& a,
 TEST(TimelineCacheTest, WorldCacheEqualsPerRunBuildAcrossSeeds) {
   // Property: for any generated workload, the timelines cached on the
   // World at build time equal what BuildChangeTimelines would produce
-  // per run, and engines behave byte-identically with either source.
+  // per run, and an engine bound to the cache behaves byte-identically
+  // to one that builds its own timelines (nullptr).
   for (uint64_t seed : {7u, 42u, 1234u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Result<SimulationSession> session = SessionBuilder()
@@ -361,15 +537,24 @@ TEST(TimelineCacheTest, WorldCacheEqualsPerRunBuildAcrossSeeds) {
       }
     }
 
-    RunSpec with_cache = SmallSpec();
-    with_cache.seed = seed;
-    RunSpec without_cache = with_cache;
-    without_cache.policy.use_cached_timelines = false;
-    Result<ExperimentResult> a = session->Run(with_cache);
-    Result<ExperimentResult> b = session->Run(without_cache);
+    core::LelaOptions lela;
+    lela.coop_degree = 3;
+    Rng rng = Rng(seed).Fork(4);
+    Result<core::LelaResult> built = core::BuildOverlay(
+        world.delays(), world.interests(), world.workload().items, lela, rng);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    core::DistributedDisseminator policy;
+    Result<core::EngineMetrics> a =
+        core::Engine(built->overlay, world.delays(), world.traces(), policy,
+                     core::EngineOptions{}, &cached)
+            .Run();
+    Result<core::EngineMetrics> b =
+        core::Engine(built->overlay, world.delays(), world.traces(), policy,
+                     core::EngineOptions{}, /*change_timelines=*/nullptr)
+            .Run();
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ExpectSameEngineMetrics(a->metrics, b->metrics);
+    ExpectSameEngineMetrics(*a, *b);
   }
 }
 
@@ -421,24 +606,6 @@ TEST(TimelineCacheTest, EngineRejectsMismatchedCache) {
   core::Engine engine(built->overlay, world.delays(), world.traces(), policy,
                       core::EngineOptions{}, &truncated);
   EXPECT_TRUE(engine.Run().status().IsInvalidArgument());
-}
-
-TEST(ExperimentConfigShimTest, SlicesToDecomposedConfigs) {
-  ExperimentConfig config = SmallConfig();
-  config.policy = "centralized";
-  config.coop_degree = 7;
-  const NetworkConfig& network = config;
-  const WorkloadConfig& workload = config;
-  const OverlayConfig& overlay = config;
-  const PolicyConfig& policy = config;
-  EXPECT_EQ(network.repositories, 20u);
-  EXPECT_EQ(workload.items, 5u);
-  EXPECT_EQ(overlay.coop_degree, 7u);
-  EXPECT_EQ(policy.policy, "centralized");
-  RunSpec spec = Workbench::SpecFromConfig(config);
-  EXPECT_EQ(spec.overlay.coop_degree, 7u);
-  EXPECT_EQ(spec.policy.policy, "centralized");
-  EXPECT_EQ(spec.seed, config.seed);
 }
 
 }  // namespace

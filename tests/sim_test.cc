@@ -114,7 +114,7 @@ TEST(SimulatorTest, NowAdvancesWithEvents) {
   Simulator sim(handler);
   SimTime now_inside = -1;
   handler.on_event = [&](SimTime, const Event&) { now_inside = sim.now(); };
-  sim.ScheduleAfter(100, Event::NodeProcess(0));
+  sim.ScheduleAt(sim.now() + 100, Event::NodeProcess(0));
   EXPECT_EQ(sim.RunUntil(kSimTimeMax), 1u);
   ASSERT_EQ(handler.seen.size(), 1u);
   EXPECT_EQ(handler.seen[0].t, 100);
@@ -141,9 +141,9 @@ TEST(SimulatorTest, ScheduleAfterIsRelative) {
   RecordingHandler handler;
   Simulator sim(handler);
   handler.on_event = [&](SimTime, const Event& event) {
-    if (event.a == 0) sim.ScheduleAfter(5, Event::NodeProcess(1));
+    if (event.a == 0) sim.ScheduleAt(sim.now() + 5, Event::NodeProcess(1));
   };
-  sim.ScheduleAfter(10, Event::NodeProcess(0));
+  sim.ScheduleAt(sim.now() + 10, Event::NodeProcess(0));
   sim.RunUntil(kSimTimeMax);
   ASSERT_EQ(handler.seen.size(), 2u);
   EXPECT_EQ(handler.seen[0].t, 10);
@@ -154,9 +154,11 @@ TEST(SimulatorTest, ZeroDelaySelfChainTerminates) {
   RecordingHandler handler;
   Simulator sim(handler);
   handler.on_event = [&](SimTime, const Event&) {
-    if (handler.seen.size() < 1000) sim.ScheduleAfter(0, Event::FinalizeHook());
+    if (handler.seen.size() < 1000) {
+      sim.ScheduleAt(sim.now(), Event::FinalizeHook());
+    }
   };
-  sim.ScheduleAfter(0, Event::FinalizeHook());
+  sim.ScheduleAt(sim.now(), Event::FinalizeHook());
   sim.RunUntil(kSimTimeMax);
   EXPECT_EQ(handler.seen.size(), 1000u);
   EXPECT_EQ(sim.now(), 0);
@@ -165,7 +167,7 @@ TEST(SimulatorTest, ZeroDelaySelfChainTerminates) {
 TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
   RecordingHandler handler;
   Simulator sim(handler);
-  sim.ScheduleAfter(100, Event::SourceTick(2, 4));
+  sim.ScheduleAt(sim.now() + 100, Event::SourceTick(2, 4));
   sim.ScheduleAt(50, Event::Delivery(1, 3));
   sim.ScheduleAt(75, Event::PullPoll(6, 1));
   EXPECT_EQ(sim.RunUntil(kSimTimeMax), 3u);
